@@ -9,7 +9,7 @@ pure function of (config, seed) and report files are byte-reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

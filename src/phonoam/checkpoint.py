@@ -54,6 +54,7 @@ def load_checkpoint(path) -> tuple[AcousticModel, dict]:
         raise IoFailure(f"unsupported checkpoint version {meta['version']}")
 
     cfg = meta["encoder_config"]
+    cfg.pop("dropout", None)  # older files carry the removed encoder dropout; it never ran
     cfg["hidden"] = tuple(cfg["hidden"])
     encoder_config = EncoderConfig(**cfg)
     enc_params = {k[len("enc__"):]: data[k] for k in data.files if k.startswith("enc__")}

@@ -8,11 +8,8 @@ selftest.  Exit codes: 0 success, 1 usage error, 2 data/validation error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-
-import numpy as np
 
 from . import __version__
 from .benchmark import BenchmarkConfig, HEAD_KINDS, run_seeds, write_report
@@ -22,16 +19,9 @@ from .encoder import EncoderConfig
 from .errors import PhonoamError
 from .evaluate import evaluate, export_embeddings
 from .features import SpecialToken, encode_inventory, encode_phone, load_feature_table
-from .inventory import (
-    LanguageInventory,
-    language_degree,
-    load_inventory,
-    merge_inventories,
-    save_inventory,
-    unseen_phones,
-)
+from .inventory import language_degree, load_inventory, merge_inventories, unseen_phones
 from .model import build_model, extend_model
-from .training import TrainConfig, finetune, train, train_multilingual
+from .training import TrainConfig, finetune, train_multilingual
 
 
 def _write_manifest(out_path, subcommand: str, args: argparse.Namespace) -> None:
@@ -114,7 +104,6 @@ def _train_config(args) -> TrainConfig:
         max_epochs=args.epochs,
         seed=args.seed,
         lm_order=args.lm_order,
-        deterministic=args.deterministic,
     )
 
 
@@ -212,6 +201,9 @@ def cmd_selftest(args) -> int:
     return 0 if run_selftest(seed=args.seed) else 2
 
 
+DETERMINISTIC_HELP = "accepted for compatibility: every run is deterministic for a given --seed"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="phonoam")
     parser.add_argument("--version", action="version", version=__version__)
@@ -254,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--batch-size", type=int, default=8)
         p.add_argument("--epochs", type=int, default=15)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--deterministic", action="store_true")
+        p.add_argument("--deterministic", action="store_true", help=DETERMINISTIC_HELP)
 
     p = sub.add_parser("train", help="multilingual training")
     p.add_argument("--features", required=True)
@@ -301,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--head", choices=[*sorted(HEAD_KINDS), "all"], default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seeds", type=int, default=1)
-    p.add_argument("--deterministic", action="store_true")
+    p.add_argument("--deterministic", action="store_true", help=DETERMINISTIC_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench)
 

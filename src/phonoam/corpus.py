@@ -11,7 +11,7 @@ phonology-driven embedding head can exploit and a flat head cannot.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ctc import BLANK, CtcResult, check_feasible, ctc_label_counts
-from .errors import InfeasibleLength, NonFiniteInput
+from .errors import InfeasibleLength
 from .heads import log_posteriors
 from .lm import BOS, PhoneLM
 
@@ -174,18 +174,3 @@ def crf_loss(
     dZ = den_counts - num_counts
     return CtcResult(nll=float(nll), dZ=dZ)
 
-
-def crf_grad_check(Z: np.ndarray, labels, lm: PhoneLM | None, eps: float = 1e-6) -> float:
-    """Max relative error of analytic dZ vs. central finite differences."""
-    base = crf_loss(Z, labels, lm)
-    max_rel = 0.0
-    for t in range(Z.shape[0]):
-        for i in range(Z.shape[1]):
-            zp = Z.copy()
-            zp[t, i] += eps
-            zm = Z.copy()
-            zm[t, i] -= eps
-            fd = (crf_loss(zp, labels, lm).nll - crf_loss(zm, labels, lm).nll) / (2 * eps)
-            denom = max(abs(fd), abs(base.dZ[t, i]), 1e-8)
-            max_rel = max(max_rel, abs(fd - base.dZ[t, i]) / denom)
-    return max_rel

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyResult, InfeasibleLength, NonFiniteInput
+from .errors import EmptyResult, InfeasibleLength
 from .heads import log_posteriors
 
 BLANK = 0
@@ -22,8 +22,6 @@ BLANK = 0
 class CtcResult:
     nll: float
     dZ: np.ndarray
-    log_alpha: np.ndarray | None = None
-    log_beta: np.ndarray | None = None
 
 
 def _collapse(path, blank: int = BLANK) -> list[int]:
@@ -61,7 +59,7 @@ def check_feasible(T: int, labels) -> None:
         )
 
 
-def ctc_loss(Z: np.ndarray, labels, keep_lattices: bool = False) -> CtcResult:
+def ctc_loss(Z: np.ndarray, labels) -> CtcResult:
     """Negative log-likelihood of the label sequence and exact dL/dZ.
 
     Z is the T x N logit matrix; labels is a blank-free sequence of unit
@@ -78,14 +76,8 @@ def ctc_loss(Z: np.ndarray, labels, keep_lattices: bool = False) -> CtcResult:
     check_feasible(T, labels)
 
     logy = log_posteriors(Z)
-    loglik, la, lb, counts = _forward_backward(logy, labels)
-    dZ = np.exp(logy) - counts
-    return CtcResult(
-        nll=-loglik,
-        dZ=dZ,
-        log_alpha=la if keep_lattices else None,
-        log_beta=lb if keep_lattices else None,
-    )
+    loglik, counts = ctc_label_counts(logy, labels)
+    return CtcResult(nll=-loglik, dZ=np.exp(logy) - counts)
 
 
 def ctc_label_counts(logy: np.ndarray, labels):
@@ -93,11 +85,6 @@ def ctc_label_counts(logy: np.ndarray, labels):
 
     Shared by the CTC loss and the CTC-CRF numerator.
     """
-    loglik, _, _, counts = _forward_backward(logy, list(labels))
-    return loglik, counts
-
-
-def _forward_backward(logy: np.ndarray, labels):
     T, N = logy.shape
     aug = _augment(labels)
     S = len(aug)
@@ -143,7 +130,7 @@ def _forward_backward(logy: np.ndarray, labels):
     counts = np.zeros((T, N))
     for s in range(S):
         counts[:, aug[s]] += gamma[:, s]
-    return loglik, la, lb, counts
+    return loglik, counts
 
 
 def greedy_decode(Z: np.ndarray) -> list[int]:

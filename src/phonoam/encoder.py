@@ -9,7 +9,7 @@ can be finite-difference checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,13 +25,10 @@ class EncoderConfig:
     output_dim: int = 64
     activation: str = "tanh"
     recurrent: bool = False
-    dropout: float = 0.0
 
     def __post_init__(self):
         if self.input_dim < 1 or self.output_dim < 1 or self.context < 0:
             raise DimensionMismatch("input_dim, output_dim >= 1 and context >= 0")
-        if not 0.0 <= self.dropout < 1.0:
-            raise DimensionMismatch("dropout must be in [0, 1)")
 
     @property
     def layer_dims(self) -> list[tuple[int, int]]:
@@ -62,13 +59,7 @@ def _splice(x: np.ndarray, w: int) -> np.ndarray:
     return np.concatenate([padded[k : k + T] for k in range(2 * w + 1)], axis=1)
 
 
-def encoder_forward(
-    config: EncoderConfig,
-    params: dict[str, np.ndarray],
-    x: np.ndarray,
-    train_mode: bool = False,
-    seed: int = 0,
-):
+def encoder_forward(config: EncoderConfig, params: dict[str, np.ndarray], x: np.ndarray):
     """Run the encoder over T x D frames; returns (H_seq, cache)."""
     if x.ndim != 2 or x.shape[1] != config.input_dim:
         raise DimensionMismatch(f"frames must be T x {config.input_dim}, got {x.shape}")
@@ -76,12 +67,10 @@ def encoder_forward(
         raise NonFiniteInput("acoustic frames contain non-finite entries")
     act, _ = get_activation(config.activation)
     n_layers = len(config.layer_dims)
-    drop_rng = np.random.default_rng(seed)
 
     spliced = _splice(x, config.context)
     inputs = [spliced]  # input to each layer
     outputs = []
-    masks: list[np.ndarray | None] = []
     a = spliced
     for i in range(n_layers):
         W, b = params[f"W{i}"], params[f"b{i}"]
@@ -97,24 +86,12 @@ def encoder_forward(
             out = h
         else:
             out = act(pre)
-        mask = None
-        if train_mode and config.dropout > 0.0 and not last:
-            keep = 1.0 - config.dropout
-            mask = drop_rng.binomial(1, keep, size=out.shape) / keep
-            out = out * mask
-        masks.append(mask)
         outputs.append(out)
         if not last:
             inputs.append(out)
         a = out
 
-    cache = {
-        "x_shape": x.shape,
-        "inputs": inputs,
-        "outputs": outputs,
-        "masks": masks,
-        "n_layers": n_layers,
-    }
+    cache = {"x_shape": x.shape, "inputs": inputs, "outputs": outputs, "n_layers": n_layers}
     return outputs[-1], cache
 
 
@@ -138,12 +115,7 @@ def encoder_backward(
         W = params[f"W{i}"]
         a_in = cache["inputs"][i]
         out = cache["outputs"][i]
-        mask = cache["masks"][i]
-        last = i == n_layers - 1
-        if mask is not None:
-            d_out = d_out * mask
-            out = out / np.where(mask == 0, 1.0, mask)  # pre-dropout activation
-        if last and config.recurrent:
+        if i == n_layers - 1 and config.recurrent:
             R = params["R"]
             T = out.shape[0]
             d_pre = np.zeros_like(out)

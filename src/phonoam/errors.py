@@ -40,15 +40,16 @@ class DimensionMismatch(PhonoamError):
     pass
 
 
-# kept distinct so optimizer call sites read naturally
-ShapeMismatch = DimensionMismatch
-
-
 class NonFiniteInput(PhonoamError):
     pass
 
 
 class ModeHeadMismatch(PhonoamError):
+    pass
+
+
+# also a ValueError, so callers that catch the builtin for a bad value still do
+class InvalidTrainConfig(PhonoamError, ValueError):
     pass
 
 

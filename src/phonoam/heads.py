@@ -12,12 +12,12 @@ acoustic encoder output; phone posteriors are the row-wise softmax.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .activations import get_activation
-from .errors import DimensionMismatch, ModeHeadMismatch, NonFiniteInput
+from .errors import DimensionMismatch, NonFiniteInput
 from .features import VECTOR_BITS
 
 
@@ -42,8 +42,6 @@ class NonlinearHead:
 
 
 Head = FlatHead | LinearHead | NonlinearHead
-
-HEAD_KINDS = {"flat", "linear", "nonlinear"}
 
 
 def head_kind(head: Head) -> str:
@@ -134,42 +132,6 @@ def log_posteriors(Z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def extend_inventory(
-    head: Head,
-    new_P: np.ndarray,
-    mode: str = "phonology",
-    seed: int | None = None,
-) -> np.ndarray:
-    """Embedding rows for M new units described by the rows of new_P.
-
-    phonology    -- phonology-driven heads only: the same deterministic map as
-                    compute_embeddings, with no parameter updates.
-    random       -- FlatHead only: seeded Gaussian rows (mean 0, std 0.01).
-    mean_of_seen -- FlatHead only: every new row is the mean of existing rows.
-    """
-    if new_P.ndim != 2 or new_P.shape[1] != VECTOR_BITS:
-        raise DimensionMismatch(f"new_P must be M x {VECTOR_BITS}, got {new_P.shape}")
-    m = new_P.shape[0]
-    if mode == "phonology":
-        if isinstance(head, FlatHead):
-            raise ModeHeadMismatch("phonology extension requires a phonology-driven head")
-        return compute_embeddings(head, new_P)
-    if not isinstance(head, FlatHead):
-        raise ModeHeadMismatch(f"{mode!r} extension targets FlatHead")
-    width = head.E.shape[1]
-    if mode == "random":
-        rng = np.random.default_rng(seed)
-        return rng.normal(0.0, 0.01, size=(m, width))
-    if mode == "mean_of_seen":
-        return np.tile(head.E.mean(axis=0), (m, 1))
-    raise ModeHeadMismatch(f"unknown extension mode {mode!r}")
-
-
-def extend_flat_head(head: FlatHead, rows: np.ndarray) -> FlatHead:
-    """New FlatHead with `rows` appended (used after inventory extension)."""
-    return FlatHead(E=np.concatenate([head.E, rows], axis=0))
-
-
 def head_backward(head: Head, P: np.ndarray, dE: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss w.r.t. head parameters, given dL/dE."""
     if isinstance(head, FlatHead):
@@ -215,7 +177,3 @@ def head_params(head: Head) -> dict[str, np.ndarray]:
         out["b2"] = head.b2
     return out
 
-
-def set_head_params(head: Head, params: dict[str, np.ndarray]) -> None:
-    for name, value in params.items():
-        setattr(head, name, value)

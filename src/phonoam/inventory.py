@@ -34,9 +34,6 @@ class UniversalPhoneSet:
     def phones(self) -> tuple[str, ...]:
         return self.units[len(SPECIAL_UNITS):]
 
-    def index(self, unit: str) -> int:
-        return self.units.index(unit)
-
 
 def merge_inventories(inventories: list[LanguageInventory]) -> UniversalPhoneSet:
     if not inventories:

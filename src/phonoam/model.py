@@ -6,6 +6,7 @@ prefixes, which keeps the optimizer, freezing and checksumming generic.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from dataclasses import dataclass
 
@@ -15,7 +16,10 @@ from . import ctc as ctc_mod
 from . import crf as crf_mod
 from .crf import DenominatorGraph
 from .encoder import EncoderConfig, encoder_backward, encoder_forward, init_encoder
+from .errors import DimensionMismatch, ModeHeadMismatch
+from .features import VECTOR_BITS
 from .heads import (
+    FlatHead,
     Head,
     compute_embeddings,
     head_backward,
@@ -107,24 +111,32 @@ def extend_model(
     mode: str = "phonology",
     seed: int | None = None,
 ) -> AcousticModel:
-    """New model covering extra units, without touching trained parameters.
+    """New model covering M extra units, without touching trained parameters.
 
-    Phonology-driven heads use mode "phonology" (embeddings follow from the new
-    phonological-vectors); flat heads get "random" or "mean_of_seen" rows,
-    which then train as ordinary parameters during finetuning.
+    new_P holds the M x 51 phonological-vectors of the new units.  Modes:
+
+    phonology    -- phonology-driven heads only: the new embeddings follow from
+                    new_P through the unchanged head.
+    random       -- FlatHead only: seeded Gaussian rows (mean 0, std 0.01).
+    mean_of_seen -- FlatHead only: every new row is the mean of existing rows.
+
+    Flat rows then train as ordinary parameters during finetuning.
     """
-    import copy
-
-    from .heads import FlatHead, extend_flat_head, extend_inventory
-
+    if new_P.ndim != 2 or new_P.shape[1] != VECTOR_BITS:
+        raise DimensionMismatch(f"new_P must be M x {VECTOR_BITS}, got {new_P.shape}")
     head = model.head
-    if isinstance(head, FlatHead):
-        rows = extend_inventory(head, new_P, mode=mode, seed=seed)
-        head = extend_flat_head(head, rows)
-    elif mode != "phonology":
-        raise ValueError(f"mode {mode!r} only applies to flat heads")
-    else:
+    if isinstance(head, FlatHead) and mode in ("random", "mean_of_seen"):
+        m, width = new_P.shape[0], head.E.shape[1]
+        if mode == "random":
+            rng = np.random.default_rng(seed)
+            rows = rng.normal(0.0, 0.01, size=(m, width))
+        else:
+            rows = np.tile(head.E.mean(axis=0), (m, 1))
+        head = FlatHead(E=np.concatenate([head.E, rows], axis=0))
+    elif not isinstance(head, FlatHead) and mode == "phonology":
         head = copy.deepcopy(head)  # finetuning the extension must not touch the original
+    else:
+        raise ModeHeadMismatch(f"extension mode {mode!r} does not apply to a {head_kind(head)} head")
     return AcousticModel(
         encoder_config=model.encoder_config,
         encoder_params=dict(model.encoder_params),
@@ -134,11 +146,9 @@ def extend_model(
     )
 
 
-def model_forward(model: AcousticModel, frames: np.ndarray, train_mode=False, seed=0):
+def model_forward(model: AcousticModel, frames: np.ndarray):
     """Returns (Z, cache) where Z is the T x N logit matrix."""
-    H_seq, enc_cache = encoder_forward(
-        model.encoder_config, model.encoder_params, frames, train_mode, seed
-    )
+    H_seq, enc_cache = encoder_forward(model.encoder_config, model.encoder_params, frames)
     E = compute_embeddings(model.head, model.P)
     Z = logits(E, H_seq)
     return Z, {"enc": enc_cache, "H_seq": H_seq, "E": E}
@@ -151,11 +161,9 @@ def model_loss_and_grads(
     loss: str = "ctc",
     lm: PhoneLM | None = None,
     graph: DenominatorGraph | None = None,
-    train_mode: bool = False,
-    seed: int = 0,
 ):
     """One utterance: (nll, grads dict) with exact analytic gradients."""
-    Z, cache = model_forward(model, frames, train_mode=train_mode, seed=seed)
+    Z, cache = model_forward(model, frames)
     if loss == "ctc":
         result = ctc_mod.ctc_loss(Z, labels)
     elif loss == "ctc_crf":

@@ -10,9 +10,9 @@ import itertools
 
 import numpy as np
 
-from .crf import crf_grad_check, crf_loss
+from .crf import build_denominator_graph, crf_loss, denominator_forward_backward
 from .ctc import ctc_loss, _collapse
-from .heads import posteriors
+from .heads import log_posteriors, posteriors
 from .lm import PhoneLM, train_phone_lm
 
 
@@ -116,13 +116,11 @@ def run_selftest(seed: int = 0, verbose: bool = True) -> bool:
         Z, labels = _random_instance(rng, t_max=3, n_max=3)
         corpus = [[int(rng.integers(1, Z.shape[1]))] for _ in range(5)] + [labels]
         lm = train_phone_lm(corpus, order=2, smoothing=1.0, vocab=range(1, Z.shape[1]))
-        from .crf import build_denominator_graph, denominator_forward_backward
-        from .heads import log_posteriors
-
         graph = build_denominator_graph(Z.shape[1], lm)
         logden, _ = denominator_forward_backward(graph, log_posteriors(Z))
         worst_val = max(worst_val, abs(logden - brute_force_crf_denominator(Z, lm)))
-        worst_grad = max(worst_grad, crf_grad_check(Z, labels, lm))
+        fd = finite_difference(lambda z: crf_loss(z, labels, lm).nll, Z)
+        worst_grad = max(worst_grad, max_rel_err(fd, crf_loss(Z, labels, lm).dZ, floor=1e-8))
     report("ctc-crf denominator vs brute force", worst_val < 1e-9, f"max |d|={worst_val:.2e}")
     report("ctc-crf gradient vs finite differences", worst_grad < 1e-4, f"max rel={worst_grad:.2e}")
 

@@ -8,14 +8,14 @@ the rate would drop below the floor (default 1e-5).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import Utterance
 from .crf import DenominatorGraph, build_denominator_graph
 from .ctc import check_feasible, greedy_decode
-from .errors import EmptyCorpus, InfeasibleLength, ShapeMismatch
+from .errors import DimensionMismatch, EmptyCorpus, InfeasibleLength, InvalidTrainConfig
 from .evaluate import edit_distance
 from .lm import PhoneLM, train_phone_lm
 from .model import (
@@ -43,13 +43,12 @@ class TrainConfig:
     clip_norm: float = 5.0
     lm_order: int = 1
     lm_smoothing: float = 1.0
-    deterministic: bool = True
 
     def __post_init__(self):
         if not 0 < self.lr_floor < self.lr:
-            raise ValueError("require 0 < lr floor < initial lr")
+            raise InvalidTrainConfig(f"require 0 < lr floor ({self.lr_floor:g}) < initial lr ({self.lr:g})")
         if not 0 < self.lr_factor < 1:
-            raise ValueError("lr factor must be in (0, 1)")
+            raise InvalidTrainConfig("lr factor must be in (0, 1)")
 
 
 @dataclass
@@ -82,7 +81,7 @@ def adam_step(
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
-            raise ShapeMismatch(f"{name}: grad {g.shape} vs param {p.shape}")
+            raise DimensionMismatch(f"{name}: grad {g.shape} vs param {p.shape}")
         state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
         state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
         m_hat = state.m[name] / (1 - state.beta1**t)

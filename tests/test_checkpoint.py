@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,27 @@ def test_roundtrip_preserves_everything(head, tmp_path):
     Za, _ = model_forward(model, x)
     Zb, _ = model_forward(loaded, x)
     assert np.array_equal(Za, Zb)
+
+
+def test_checkpoint_with_old_dropout_key_loads(tmp_path):
+    # files written before encoder dropout was removed carry "dropout": 0.0
+    model = tiny_model("nonlinear")
+    new, old = tmp_path / "new.npz", tmp_path / "old.npz"
+    save_checkpoint(model, new)
+    with np.load(new) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    assert "dropout" not in meta["encoder_config"]
+    meta["encoder_config"]["dropout"] = 0.0
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez_compressed(old, **arrays)
+
+    a, _ = load_checkpoint(new)
+    b, _ = load_checkpoint(old)
+    assert b.encoder_config == a.encoder_config
+    assert params_checksum(model_params(b)) == params_checksum(model_params(a))
+    x = RNG.normal(size=(5, 3))
+    assert np.array_equal(model_forward(b, x)[0], model_forward(a, x)[0])
 
 
 def test_adam_state_roundtrip(tmp_path):

@@ -143,6 +143,28 @@ def test_extend_finetune_eval_flow(trained, workdir, capsys):
     assert "PER" in out and "unseen PER" in out
 
 
+def test_extend_mode_head_mismatch_exits_2(trained, workdir, capsys):
+    # random rows only apply to a flat head; the trained model has a linear one
+    code = main([
+        "extend", "--checkpoint", str(trained), "--features", str(workdir / "features.tsv"),
+        "--target", str(workdir / "target.json"), "--mode", "random",
+        "--out", str(workdir / "bad_extended.npz"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_train_lr_below_floor_exits_2(workdir, capsys):
+    code = main([
+        "train", "--features", str(workdir / "features.tsv"),
+        "--inventories", str(workdir / "L1.json"), "--corpus", str(workdir / "L1.jsonl"),
+        "--lr", "1e-6", "--out", str(workdir / "never_written.npz"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (workdir / "never_written.npz").exists()
+
+
 def test_eval_fails_cleanly_on_uncovered_corpus(trained, workdir, capsys):
     # the base model has never heard of kʲ, so the target corpus is invalid
     code, _ = run(capsys, "eval", "--checkpoint", str(trained),
@@ -158,6 +180,11 @@ def test_export_embeddings(trained, workdir, capsys):
     lines = out_path.read_text(encoding="utf-8").strip().splitlines()
     assert len(lines) == 9  # 3 specials + 6 phones
     assert lines[0].startswith("<blk>,")
+
+
+def test_selftest_passes(capsys):
+    assert main(["selftest"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_version_flag(capsys):

@@ -1,23 +1,19 @@
 import numpy as np
 import pytest
 
-from phonoam.errors import DimensionMismatch, ModeHeadMismatch
+from phonoam.errors import DimensionMismatch
 from phonoam.features import VECTOR_BITS
 from phonoam.heads import (
-    FlatHead,
     LinearHead,
     NonlinearHead,
     compute_embeddings,
-    extend_inventory,
     head_backward,
-    head_params,
     logits,
     make_flat_head,
     make_linear_head,
     make_nonlinear_head,
     posteriors,
 )
-from phonoam.model import params_checksum
 
 RNG = np.random.default_rng(7)
 
@@ -106,40 +102,6 @@ class TestPosteriors:
     def test_rows_sum_to_one(self):
         Y = posteriors(RNG.normal(size=(10, 7)) * 30)
         assert np.allclose(Y.sum(axis=1), 1.0, atol=1e-12)
-
-
-class TestExtend:
-    def test_phonology_matches_seen_duplicate(self):
-        head = make_linear_head(6, RNG)
-        P = random_P(4)
-        E = compute_embeddings(head, P)
-        rows = extend_inventory(head, P[2:3], mode="phonology")
-        assert np.allclose(rows, E[2])
-
-    def test_phonology_never_mutates_parameters(self):
-        head = make_nonlinear_head(6, RNG, hidden=5)
-        before = params_checksum(head_params(head))
-        extend_inventory(head, random_P(3), mode="phonology")
-        assert params_checksum(head_params(head)) == before
-
-    def test_random_is_seeded(self):
-        head = make_flat_head(4, 6, RNG)
-        P = random_P(2)
-        a = extend_inventory(head, P, mode="random", seed=3)
-        b = extend_inventory(head, P, mode="random", seed=3)
-        assert np.array_equal(a, b)
-        assert a.shape == (2, 6)
-
-    def test_mean_of_seen(self):
-        head = FlatHead(E=np.array([[1.0, 1.0], [3.0, 3.0]]))
-        rows = extend_inventory(head, random_P(1), mode="mean_of_seen")
-        assert np.allclose(rows, [[2.0, 2.0]])
-
-    def test_mode_head_mismatch(self):
-        with pytest.raises(ModeHeadMismatch):
-            extend_inventory(make_flat_head(3, 4, RNG), random_P(1), mode="phonology")
-        with pytest.raises(ModeHeadMismatch):
-            extend_inventory(make_linear_head(4, RNG), random_P(1), mode="random")
 
 
 class TestBackward:

@@ -3,7 +3,9 @@ import pytest
 
 from phonoam.corpus import make_emission_map, generate_language, SynthLanguageSpec
 from phonoam.encoder import EncoderConfig
+from phonoam.errors import DimensionMismatch, ModeHeadMismatch
 from phonoam.features import SpecialToken, builtin_table, encode_inventory
+from phonoam.heads import FlatHead, compute_embeddings
 from phonoam.inventory import LanguageInventory, merge_inventories
 from phonoam.lm import train_phone_lm
 from phonoam.model import (
@@ -98,8 +100,53 @@ class TestExtend:
     def test_non_phonology_modes_rejected_for_phonology_heads(self):
         model, _ = tiny_model("linear")
         newP = encode_inventory(TABLE, [PHONES[5]], specials=[])
-        with pytest.raises(ValueError):
+        with pytest.raises(ModeHeadMismatch):
             extend_model(model, (PHONES[5],), newP, mode="random")
+
+    def test_phonology_matches_seen_duplicate(self):
+        model, _ = tiny_model("linear")
+        ext = extend_model(model, ("dup",), model.P[4:5], mode="phonology")
+        E = compute_embeddings(ext.head, ext.P)
+        assert np.allclose(E[-1], E[4])
+
+    def test_phonology_never_mutates_parameters(self):
+        model, _ = tiny_model("nonlinear")
+        before = params_checksum(model_params(model))
+        newP = encode_inventory(TABLE, list(PHONES[5:7]), specials=[])
+        ext = extend_model(model, tuple(PHONES[5:7]), newP, mode="phonology")
+        assert params_checksum(model_params(model)) == before
+        # the new rows are exactly what the unchanged head maps new_P to
+        assert np.allclose(compute_embeddings(ext.head, ext.P)[-2:], compute_embeddings(model.head, newP))
+
+    def test_random_is_seeded(self):
+        model, _ = tiny_model("flat")
+        newP = encode_inventory(TABLE, [PHONES[5], PHONES[6]], specials=[])
+        a = extend_model(model, (PHONES[5], PHONES[6]), newP, mode="random", seed=3)
+        b = extend_model(model, (PHONES[5], PHONES[6]), newP, mode="random", seed=3)
+        assert np.array_equal(a.head.E, b.head.E)
+        assert a.head.E.shape == (model.n_units + 2, model.head.E.shape[1])
+        rows = np.random.default_rng(3).normal(0.0, 0.01, size=(2, model.head.E.shape[1]))
+        assert np.array_equal(a.head.E[-2:], rows)
+
+    def test_mean_of_seen(self):
+        model, _ = tiny_model("flat")
+        assert model.n_units == 7
+        model.head = FlatHead(E=np.repeat(np.arange(7.0)[:, None], 4, axis=1))  # row i is all i
+        newP = encode_inventory(TABLE, [PHONES[5]], specials=[])
+        ext = extend_model(model, (PHONES[5],), newP, mode="mean_of_seen")
+        assert np.allclose(ext.head.E[-1], [3.0, 3.0, 3.0, 3.0])
+
+    def test_mode_head_mismatch(self):
+        newP = encode_inventory(TABLE, [PHONES[5]], specials=[])
+        flat, _ = tiny_model("flat")
+        with pytest.raises(ModeHeadMismatch):
+            extend_model(flat, (PHONES[5],), newP, mode="phonology")
+        with pytest.raises(ModeHeadMismatch):
+            extend_model(flat, (PHONES[5],), newP, mode="no-such-mode")
+        with pytest.raises(ModeHeadMismatch):
+            extend_model(tiny_model("nonlinear")[0], (PHONES[5],), newP, mode="mean_of_seen")
+        with pytest.raises(DimensionMismatch):
+            extend_model(flat, (PHONES[5],), newP[:, :50], mode="random")
 
     def test_extension_consistent_with_training_corpus(self):
         # extended model still scores utterances over the old inventory identically

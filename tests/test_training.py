@@ -5,7 +5,7 @@ import pytest
 
 from phonoam.corpus import SynthLanguageSpec, Utterance, generate_language, make_emission_map
 from phonoam.encoder import EncoderConfig
-from phonoam.errors import EmptyCorpus, ShapeMismatch
+from phonoam.errors import DimensionMismatch, EmptyCorpus
 from phonoam.features import SpecialToken, builtin_table, encode_inventory
 from phonoam.inventory import LanguageInventory, merge_inventories
 from phonoam.model import build_model, model_params, params_checksum
@@ -64,7 +64,7 @@ class TestAdam:
 
     def test_shape_mismatch_rejected(self):
         params = {"w": np.ones(3)}
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DimensionMismatch):
             adam_step(params, {"w": np.ones(4)}, init_adam(params), 0.1)
 
 
