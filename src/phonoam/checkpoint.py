@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import zipfile
+import zlib
 
 import numpy as np
 
@@ -13,6 +15,13 @@ from .heads import FlatHead, LinearHead, NonlinearHead, head_kind, head_params
 from .model import AcousticModel
 
 FORMAT_VERSION = 1
+
+# Options that older files record but that no longer exist, with the one value
+# this version computes; a file holding any other value is refused.
+FIXED_ENCODER_OPTIONS = {"activation": "tanh", "recurrent": False}
+HEAD_ACTIVATIONS = (None, "sigmoid")
+# Parameters of removed options; dropping them would change the model's outputs.
+REMOVED_ARRAYS = ("enc__R", "head__b", "head__b1", "head__b2")
 
 
 def save_checkpoint(
@@ -26,7 +35,6 @@ def save_checkpoint(
         "version": FORMAT_VERSION,
         "encoder_config": dataclasses.asdict(model.encoder_config),
         "head_kind": head_kind(model.head),
-        "head_activation": getattr(model.head, "activation", None),
         "units": list(model.units),
         "epoch": epoch,
         "adam_step": getattr(adam, "step", None),
@@ -44,48 +52,80 @@ def save_checkpoint(
         raise IoFailure(str(exc)) from exc
 
 
-def load_checkpoint(path) -> tuple[AcousticModel, dict]:
+def _read(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """(metadata, arrays) of a checkpoint file, or IoFailure if it is unreadable."""
     try:
-        data = np.load(path, allow_pickle=False)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    meta = json.loads(bytes(data["meta"]).decode())
-    if meta["version"] != FORMAT_VERSION:
-        raise IoFailure(f"unsupported checkpoint version {meta['version']}")
+        with open(path, "rb") as fh:
+            if not zipfile.is_zipfile(fh):
+                raise IoFailure(f"{path} is not an npz archive")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as data:
+                arrays = {k: data[k] for k in data.files}
+        meta = json.loads(bytes(arrays.pop("meta")).decode())
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, zlib.error) as exc:
+        raise IoFailure(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise IoFailure(f"checkpoint {path} metadata is not a JSON object")
+    return meta, arrays
 
+
+def _strip_removed_options(meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Drop what older files record of removed options; IoFailure if it changes the outputs."""
     cfg = meta["encoder_config"]
     cfg.pop("dropout", None)  # older files carry the removed encoder dropout; it never ran
+    for key, value in FIXED_ENCODER_OPTIONS.items():
+        if cfg.pop(key, value) != value:
+            raise IoFailure(f"checkpoint encoder {key} must be {value!r}")
+    if meta.get("head_activation") not in HEAD_ACTIVATIONS:
+        raise IoFailure("checkpoint head activation must be sigmoid")
+    removed = [k for k in REMOVED_ARRAYS if k in arrays]
+    if removed:
+        raise IoFailure(f"checkpoint holds parameters of removed options: {', '.join(removed)}")
+
+
+def load_checkpoint(path) -> tuple[AcousticModel, dict]:
+    meta, arrays = _read(path)
+    try:
+        return _build(meta, arrays), meta
+    except KeyError as exc:
+        raise IoFailure(f"checkpoint {path} lacks {exc}") from exc
+
+
+def _build(meta: dict, arrays: dict[str, np.ndarray]) -> AcousticModel:
+    if meta["version"] != FORMAT_VERSION:
+        raise IoFailure(f"unsupported checkpoint version {meta['version']}")
+    _strip_removed_options(meta, arrays)
+    cfg = meta["encoder_config"]
     cfg["hidden"] = tuple(cfg["hidden"])
     encoder_config = EncoderConfig(**cfg)
-    enc_params = {k[len("enc__"):]: data[k] for k in data.files if k.startswith("enc__")}
-    hp = {k[len("head__"):]: data[k] for k in data.files if k.startswith("head__")}
+    enc_params = {k[len("enc__"):]: v for k, v in arrays.items() if k.startswith("enc__")}
+    hp = {k[len("head__"):]: v for k, v in arrays.items() if k.startswith("head__")}
 
     kind = meta["head_kind"]
     if kind == "flat":
         head = FlatHead(E=hp["E"])
     elif kind == "linear":
-        head = LinearHead(A=hp["A"], b=hp.get("b"))
+        head = LinearHead(A=hp["A"])
+    elif kind == "nonlinear":
+        head = NonlinearHead(A1=hp["A1"], A2=hp["A2"])
     else:
-        head = NonlinearHead(
-            A1=hp["A1"],
-            A2=hp["A2"],
-            b1=hp.get("b1"),
-            b2=hp.get("b2"),
-            activation=meta["head_activation"] or "sigmoid",
-        )
-    model = AcousticModel(
-        encoder_config=encoder_config,
-        encoder_params=enc_params,
-        head=head,
-        P=data["P"],
-        units=tuple(meta["units"]),
-    )
+        raise IoFailure(f"unknown head kind {kind!r}")
+    units = tuple(meta["units"])
+    P = arrays["P"]
+    if P.shape[0] != len(units):
+        raise IoFailure(f"checkpoint P has {P.shape[0]} rows for {len(units)} units")
     if meta.get("adam_step") is not None:
         from .training import AdamState
 
         meta["adam"] = AdamState(
-            m={k[len("adam_m__"):]: data[k] for k in data.files if k.startswith("adam_m__")},
-            v={k[len("adam_v__"):]: data[k] for k in data.files if k.startswith("adam_v__")},
+            m={k[len("adam_m__"):]: v for k, v in arrays.items() if k.startswith("adam_m__")},
+            v={k[len("adam_v__"):]: v for k, v in arrays.items() if k.startswith("adam_v__")},
             step=meta["adam_step"],
         )
-    return model, meta
+    return AcousticModel(
+        encoder_config=encoder_config,
+        encoder_params=enc_params,
+        head=head,
+        P=P,
+        units=units,
+    )

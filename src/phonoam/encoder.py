@@ -1,10 +1,9 @@
 """Small differentiable acoustic encoder: spliced frames through an MLP.
 
 Frames are spliced with `context` neighbours on each side (zero padded at the
-edges) and passed through a stack of activation layers.  The last layer can
-optionally be a simple recurrent layer, making h_t depend on all earlier
-frames.  Forward and backward are exact and written by hand so the whole model
-can be finite-difference checked.
+edges) and passed through a stack of tanh layers, so h_t depends only on the
+frames within `context` of t.  Forward and backward are exact and written by
+hand so the whole model can be finite-difference checked.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import get_activation
 from .errors import DimensionMismatch, NonFiniteInput, StaleCache
 
 
@@ -23,8 +21,6 @@ class EncoderConfig:
     context: int = 2
     hidden: tuple[int, ...] = (64,)
     output_dim: int = 64
-    activation: str = "tanh"
-    recurrent: bool = False
 
     def __post_init__(self):
         if self.input_dim < 1 or self.output_dim < 1 or self.context < 0:
@@ -42,10 +38,6 @@ def init_encoder(config: EncoderConfig, rng: np.random.Generator) -> dict[str, n
         limit = np.sqrt(6.0 / (rows + cols))
         params[f"W{i}"] = rng.uniform(-limit, limit, size=(rows, cols))
         params[f"b{i}"] = np.zeros(rows)
-    if config.recurrent:
-        h = config.output_dim
-        limit = np.sqrt(6.0 / (2 * h))
-        params["R"] = rng.uniform(-limit, limit, size=(h, h))
     return params
 
 
@@ -65,31 +57,15 @@ def encoder_forward(config: EncoderConfig, params: dict[str, np.ndarray], x: np.
         raise DimensionMismatch(f"frames must be T x {config.input_dim}, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("acoustic frames contain non-finite entries")
-    act, _ = get_activation(config.activation)
     n_layers = len(config.layer_dims)
 
-    spliced = _splice(x, config.context)
-    inputs = [spliced]  # input to each layer
+    a = _splice(x, config.context)
+    inputs = []  # input to each layer
     outputs = []
-    a = spliced
     for i in range(n_layers):
-        W, b = params[f"W{i}"], params[f"b{i}"]
-        pre = a @ W.T + b
-        last = i == n_layers - 1
-        if last and config.recurrent:
-            R = params["R"]
-            h = np.zeros_like(pre)
-            prev = np.zeros(pre.shape[1])
-            for t in range(pre.shape[0]):
-                prev = act(pre[t] + R @ prev)
-                h[t] = prev
-            out = h
-        else:
-            out = act(pre)
-        outputs.append(out)
-        if not last:
-            inputs.append(out)
-        a = out
+        inputs.append(a)
+        a = np.tanh(a @ params[f"W{i}"].T + params[f"b{i}"])
+        outputs.append(a)
 
     cache = {"x_shape": x.shape, "inputs": inputs, "outputs": outputs, "n_layers": n_layers}
     return outputs[-1], cache
@@ -106,33 +82,15 @@ def encoder_backward(
         raise StaleCache("cache does not match this encoder configuration")
     if dH.shape != cache["outputs"][-1].shape:
         raise StaleCache(f"dH shape {dH.shape} does not match cached forward")
-    _, deriv = get_activation(config.activation)
-    n_layers = cache["n_layers"]
     grads: dict[str, np.ndarray] = {}
 
     d_out = dH
-    for i in reversed(range(n_layers)):
-        W = params[f"W{i}"]
-        a_in = cache["inputs"][i]
+    for i in reversed(range(cache["n_layers"])):
         out = cache["outputs"][i]
-        if i == n_layers - 1 and config.recurrent:
-            R = params["R"]
-            T = out.shape[0]
-            d_pre = np.zeros_like(out)
-            dR = np.zeros_like(R)
-            carry = np.zeros(out.shape[1])
-            for t in reversed(range(T)):
-                dh = d_out[t] + carry
-                d_pre[t] = dh * deriv(out[t])
-                prev = out[t - 1] if t > 0 else np.zeros(out.shape[1])
-                dR += np.outer(d_pre[t], prev)
-                carry = R.T @ d_pre[t]
-            grads["R"] = dR
-        else:
-            d_pre = d_out * deriv(out)
-        grads[f"W{i}"] = d_pre.T @ a_in
+        d_pre = d_out * (1.0 - out * out)
+        grads[f"W{i}"] = d_pre.T @ cache["inputs"][i]
         grads[f"b{i}"] = d_pre.sum(axis=0)
-        d_out = d_pre @ W
+        d_out = d_pre @ params[f"W{i}"]
 
     dx = _unsplice(d_out, cache["x_shape"], config.context)
     return grads, dx

@@ -192,4 +192,4 @@ def encode_inventory(
     """Stack phonological-vectors: specials first, then phones in given order."""
     rows = [encode_special(t) for t in specials]
     rows += [encode_phone(table, p) for p in phones]
-    return np.stack(rows, axis=0)
+    return np.stack(rows, axis=0) if rows else np.zeros((0, VECTOR_BITS))

@@ -4,7 +4,9 @@ Three head kinds produce the embedding matrix E (one row per unit):
 
 * FlatHead      -- E is a free parameter matrix (the traditional baseline).
 * LinearHead    -- e_i = A p_i, a linear map of the 51-bit phonological-vector.
-* NonlinearHead -- e_i = A2 sigma(A1 p_i), one hidden layer.
+* NonlinearHead -- e_i = A2 sigma(A1 p_i), one sigmoid hidden layer.
+
+The phonology-driven heads carry no bias terms.
 
 Logits are the dot products z[t, i] = <e_i, h_t> of embeddings with the
 acoustic encoder output; phone posteriors are the row-wise softmax.
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import get_activation
 from .errors import DimensionMismatch, NonFiniteInput
 from .features import VECTOR_BITS
 
@@ -29,16 +30,12 @@ class FlatHead:
 @dataclass
 class LinearHead:
     A: np.ndarray  # H x 51
-    b: np.ndarray | None = None  # H, off by default
 
 
 @dataclass
 class NonlinearHead:
     A1: np.ndarray  # Dh x 51
     A2: np.ndarray  # H x Dh
-    b1: np.ndarray | None = None
-    b2: np.ndarray | None = None
-    activation: str = "sigmoid"
 
 
 Head = FlatHead | LinearHead | NonlinearHead
@@ -50,6 +47,16 @@ def head_kind(head: Head) -> str:
     ]
 
 
+def sigmoid(x):
+    """Logistic function, evaluated so that no exp overflows."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-limit, limit, size=(rows, cols))
@@ -59,27 +66,12 @@ def make_flat_head(n_units: int, width: int, rng: np.random.Generator) -> FlatHe
     return FlatHead(E=_glorot(rng, n_units, width))
 
 
-def make_linear_head(
-    width: int, rng: np.random.Generator, bias: bool = False
-) -> LinearHead:
-    b = np.zeros(width) if bias else None
-    return LinearHead(A=_glorot(rng, width, VECTOR_BITS), b=b)
+def make_linear_head(width: int, rng: np.random.Generator) -> LinearHead:
+    return LinearHead(A=_glorot(rng, width, VECTOR_BITS))
 
 
-def make_nonlinear_head(
-    width: int,
-    rng: np.random.Generator,
-    hidden: int = 512,
-    activation: str = "sigmoid",
-    bias: bool = False,
-) -> NonlinearHead:
-    return NonlinearHead(
-        A1=_glorot(rng, hidden, VECTOR_BITS),
-        A2=_glorot(rng, width, hidden),
-        b1=np.zeros(hidden) if bias else None,
-        b2=np.zeros(width) if bias else None,
-        activation=activation,
-    )
+def make_nonlinear_head(width: int, rng: np.random.Generator, hidden: int = 512) -> NonlinearHead:
+    return NonlinearHead(A1=_glorot(rng, hidden, VECTOR_BITS), A2=_glorot(rng, width, hidden))
 
 
 def compute_embeddings(head: Head, P: np.ndarray) -> np.ndarray:
@@ -93,18 +85,8 @@ def compute_embeddings(head: Head, P: np.ndarray) -> np.ndarray:
     if P.ndim != 2 or P.shape[1] != VECTOR_BITS:
         raise DimensionMismatch(f"P must be N x {VECTOR_BITS}, got {P.shape}")
     if isinstance(head, LinearHead):
-        E = P @ head.A.T
-        if head.b is not None:
-            E = E + head.b
-        return E
-    act, _ = get_activation(head.activation)
-    pre = P @ head.A1.T
-    if head.b1 is not None:
-        pre = pre + head.b1
-    E = act(pre) @ head.A2.T
-    if head.b2 is not None:
-        E = E + head.b2
-    return E
+        return P @ head.A.T
+    return sigmoid(P @ head.A1.T) @ head.A2.T
 
 
 def logits(E: np.ndarray, H_seq: np.ndarray) -> np.ndarray:
@@ -141,24 +123,10 @@ def head_backward(head: Head, P: np.ndarray, dE: np.ndarray) -> dict[str, np.nda
     if dE.shape[0] != P.shape[0]:
         raise DimensionMismatch(f"dE rows {dE.shape[0]} != P rows {P.shape[0]}")
     if isinstance(head, LinearHead):
-        grads = {"A": dE.T @ P}
-        if head.b is not None:
-            grads["b"] = dE.sum(axis=0)
-        return grads
-    act, deriv = get_activation(head.activation)
-    pre = P @ head.A1.T
-    if head.b1 is not None:
-        pre = pre + head.b1
-    hidden = act(pre)
-    dA2 = dE.T @ hidden
-    d_hidden = dE @ head.A2
-    d_pre = d_hidden * deriv(hidden)
-    grads = {"A1": d_pre.T @ P, "A2": dA2}
-    if head.b1 is not None:
-        grads["b1"] = d_pre.sum(axis=0)
-    if head.b2 is not None:
-        grads["b2"] = dE.sum(axis=0)
-    return grads
+        return {"A": dE.T @ P}
+    hidden = sigmoid(P @ head.A1.T)
+    d_pre = (dE @ head.A2) * (hidden * (1.0 - hidden))
+    return {"A1": d_pre.T @ P, "A2": dE.T @ hidden}
 
 
 def head_params(head: Head) -> dict[str, np.ndarray]:
@@ -166,14 +134,6 @@ def head_params(head: Head) -> dict[str, np.ndarray]:
     if isinstance(head, FlatHead):
         return {"E": head.E}
     if isinstance(head, LinearHead):
-        out = {"A": head.A}
-        if head.b is not None:
-            out["b"] = head.b
-        return out
-    out = {"A1": head.A1, "A2": head.A2}
-    if head.b1 is not None:
-        out["b1"] = head.b1
-    if head.b2 is not None:
-        out["b2"] = head.b2
-    return out
+        return {"A": head.A}
+    return {"A1": head.A1, "A2": head.A2}
 

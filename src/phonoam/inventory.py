@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import DuplicateLanguageId
+from .errors import DuplicateLanguageId, DuplicatePhone, IoFailure
 from .features import SPECIAL_SYMBOLS, SpecialToken
 
 SPECIAL_UNITS = tuple(SPECIAL_SYMBOLS[t] for t in SpecialToken)
@@ -18,9 +18,7 @@ class LanguageInventory:
 
     def __post_init__(self):
         if len(set(self.phones)) != len(self.phones):
-            raise DuplicateLanguageId(
-                f"duplicate phones in inventory {self.language_id!r}"
-            )
+            raise DuplicatePhone(f"duplicate phones in inventory {self.language_id!r}")
 
 
 @dataclass(frozen=True)
@@ -75,8 +73,13 @@ def unseen_phones(
 
 def load_inventory(path) -> LanguageInventory:
     """Read an inventory file: JSON with fields `language` and `phones`."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise IoFailure(f"cannot read inventory {path}: {exc}") from exc
+    if not isinstance(doc, dict) or "language" not in doc or "phones" not in doc:
+        raise IoFailure(f"inventory {path} must be a JSON object with `language` and `phones`")
     return LanguageInventory(language_id=doc["language"], phones=tuple(doc["phones"]))
 
 

@@ -1,7 +1,7 @@
 """The full acoustic model: encoder -> embedding head -> logits -> loss.
 
 Parameters live in a flat name -> array dict with "enc." and "head."
-prefixes, which keeps the optimizer, freezing and checksumming generic.
+prefixes, which keeps the optimizer and checksumming generic.
 """
 
 from __future__ import annotations
@@ -56,8 +56,6 @@ def build_model(
     head: str = "nonlinear",
     seed: int = 0,
     head_hidden: int = 512,
-    head_activation: str = "sigmoid",
-    head_bias: bool = False,
 ) -> AcousticModel:
     rng = np.random.default_rng(seed)
     enc_params = init_encoder(encoder_config, rng)
@@ -65,11 +63,9 @@ def build_model(
     if head == "flat":
         h = make_flat_head(len(units), width, rng)
     elif head == "linear":
-        h = make_linear_head(width, rng, bias=head_bias)
+        h = make_linear_head(width, rng)
     elif head == "nonlinear":
-        h = make_nonlinear_head(
-            width, rng, hidden=head_hidden, activation=head_activation, bias=head_bias
-        )
+        h = make_nonlinear_head(width, rng, hidden=head_hidden)
     else:
         raise ValueError(f"unknown head kind {head!r}")
     return AcousticModel(

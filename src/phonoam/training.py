@@ -1,8 +1,8 @@
 """Adam training with a plateau learning-rate schedule.
 
 The schedule starts at the configured rate (default 1e-3) and divides by 10
-whenever the dev loss stops improving for `patience` epochs, stopping once
-the rate would drop below the floor (default 1e-5).
+whenever the dev loss stops improving by more than MIN_DELTA for PATIENCE
+epochs, stopping once the rate drops below LR_FLOOR (1e-5).
 """
 
 from __future__ import annotations
@@ -27,28 +27,25 @@ from .model import (
     set_model_params,
 )
 
+LR_FACTOR = 0.1
+LR_FLOOR = 1e-5
+PATIENCE = 2
+MIN_DELTA = 1e-4
+CLIP_NORM = 5.0  # bound on the global gradient norm of each step
+
 
 @dataclass
 class TrainConfig:
     loss: str = "ctc"  # or "ctc_crf"
     lr: float = 1e-3
-    lr_factor: float = 0.1
-    lr_floor: float = 1e-5
-    patience: int = 2
-    min_delta: float = 1e-4
     batch_size: int = 8
     max_epochs: int = 30
     seed: int = 0
-    freeze: frozenset[str] = frozenset()  # parameter groups: "encoder", "head"
-    clip_norm: float = 5.0
     lm_order: int = 1
-    lm_smoothing: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.lr_floor < self.lr:
-            raise InvalidTrainConfig(f"require 0 < lr floor ({self.lr_floor:g}) < initial lr ({self.lr:g})")
-        if not 0 < self.lr_factor < 1:
-            raise InvalidTrainConfig("lr factor must be in (0, 1)")
+        if not LR_FLOOR < self.lr:
+            raise InvalidTrainConfig(f"require lr floor ({LR_FLOOR:g}) < initial lr ({self.lr:g})")
 
 
 @dataclass
@@ -149,7 +146,7 @@ def train(
     """Optimize the model in place; returns the per-epoch report.
 
     With loss "ctc_crf" and no LM given, a label n-gram LM is estimated from
-    the training transcripts (order and smoothing from the config).
+    the training transcripts (order from the config).
     """
     if not train_set:
         raise EmptyCorpus("no training utterances")
@@ -162,7 +159,6 @@ def train(
             lm = train_phone_lm(
                 [_labels_of(u, index) for u in train_set],
                 order=config.lm_order,
-                smoothing=config.lm_smoothing,
                 vocab=range(1, model.n_units),  # denominator graph spans every unit
             )
         graph = build_denominator_graph(model.n_units, lm)
@@ -186,12 +182,6 @@ def train(
     lr = config.lr
     best_dev = float("inf")
     stale = 0
-    frozen = {
-        name
-        for name in params
-        if (name.startswith("enc.") and "encoder" in config.freeze)
-        or (name.startswith("head.") and "head" in config.freeze)
-    }
 
     # dev loss of the untouched initialization, recorded before any update
     dev_eval = dev_set if dev_set else usable
@@ -213,9 +203,7 @@ def train(
                 for k, g in grads.items():
                     acc[k] += g
             acc = {k: g / len(batch) for k, g in acc.items()}
-            for k in frozen:
-                acc[k] = np.zeros_like(acc[k])
-            acc = _clip_global(acc, config.clip_norm)
+            acc = _clip_global(acc, CLIP_NORM)
             params = adam_step(params, acc, adam, lr)
             set_model_params(model, params)
 
@@ -225,15 +213,15 @@ def train(
         report.dev_per.append(_dev_per(model, dev_eval, index))
         report.lr.append(lr)
 
-        if dev < best_dev - config.min_delta:
+        if dev < best_dev - MIN_DELTA:
             best_dev = dev
             stale = 0
         else:
             stale += 1
-            if stale >= config.patience:
-                lr *= config.lr_factor
+            if stale >= PATIENCE:
+                lr *= LR_FACTOR
                 stale = 0
-                if lr < config.lr_floor:
+                if lr < LR_FLOOR:
                     break
 
     report.final_checksum = params_checksum(model_params(model))

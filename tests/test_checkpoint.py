@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -19,7 +20,7 @@ RNG = np.random.default_rng(53)
 def tiny_model(head):
     ps = merge_inventories([LanguageInventory(language_id="L1", phones=PHONES[:4])])
     P = encode_inventory(TABLE, list(ps.phones), list(SpecialToken))
-    cfg = EncoderConfig(input_dim=3, context=1, hidden=(4,), output_dim=4, recurrent=head == "flat")
+    cfg = EncoderConfig(input_dim=3, context=1, hidden=(4,), output_dim=4)
     return build_model(ps.units, P, cfg, head=head, seed=2, head_hidden=3)
 
 
@@ -42,18 +43,26 @@ def test_roundtrip_preserves_everything(head, tmp_path):
     assert np.array_equal(Za, Zb)
 
 
-def test_checkpoint_with_old_dropout_key_loads(tmp_path):
-    # files written before encoder dropout was removed carry "dropout": 0.0
+def rewrite(src, dst, meta_edits=(), **extra_arrays):
+    """Copy a checkpoint, setting (group, key, value) metadata entries and
+    adding arrays on the way; group None is the top level."""
+    with np.load(src) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    for group, key, value in meta_edits:
+        (meta[group] if group else meta)[key] = value
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez_compressed(dst, **arrays, **extra_arrays)
+
+
+def assert_loads_as_saved(tmp_path, group, key, value):
     model = tiny_model("nonlinear")
     new, old = tmp_path / "new.npz", tmp_path / "old.npz"
     save_checkpoint(model, new)
     with np.load(new) as data:
-        arrays = {k: data[k] for k in data.files}
-    meta = json.loads(bytes(arrays["meta"]).decode())
-    assert "dropout" not in meta["encoder_config"]
-    meta["encoder_config"]["dropout"] = 0.0
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez_compressed(old, **arrays)
+        meta = json.loads(bytes(data["meta"]).decode())
+    assert key not in (meta[group] if group else meta)
+    rewrite(new, old, [(group, key, value)])
 
     a, _ = load_checkpoint(new)
     b, _ = load_checkpoint(old)
@@ -61,6 +70,49 @@ def test_checkpoint_with_old_dropout_key_loads(tmp_path):
     assert params_checksum(model_params(b)) == params_checksum(model_params(a))
     x = RNG.normal(size=(5, 3))
     assert np.array_equal(model_forward(b, x)[0], model_forward(a, x)[0])
+
+
+def test_checkpoint_with_old_dropout_key_loads(tmp_path):
+    # files written before encoder dropout was removed carry "dropout": 0.0
+    assert_loads_as_saved(tmp_path, "encoder_config", "dropout", 0.0)
+
+
+# Keys of removed options that older files carry, with the one value this
+# version computes.
+OLD_OPTION_KEYS = [
+    ("encoder_config", "activation", "tanh"),
+    ("encoder_config", "recurrent", False),
+    (None, "head_activation", "sigmoid"),
+    (None, "head_activation", None),
+]
+
+
+@pytest.mark.parametrize("group, key, value", OLD_OPTION_KEYS, ids=lambda v: str(v))
+def test_checkpoint_with_old_option_key_loads(group, key, value, tmp_path):
+    assert_loads_as_saved(tmp_path, group, key, value)
+
+
+@pytest.mark.parametrize(
+    "group, key, value",
+    [("encoder_config", "activation", "relu"), ("encoder_config", "recurrent", True),
+     (None, "head_activation", "tanh")],
+    ids=lambda v: str(v),
+)
+def test_checkpoint_with_other_option_value_rejected(group, key, value, tmp_path):
+    path = tmp_path / "model.npz"
+    save_checkpoint(tiny_model("nonlinear"), path)
+    rewrite(path, path, [(group, key, value)])
+    with pytest.raises(IoFailure, match="must be"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name", ["head__b", "head__b1", "head__b2", "enc__R"])
+def test_checkpoint_with_removed_parameter_rejected(name, tmp_path):
+    path = tmp_path / "model.npz"
+    save_checkpoint(tiny_model("nonlinear"), path)
+    rewrite(path, path, **{name: np.zeros(4)})
+    with pytest.raises(IoFailure, match=name):
+        load_checkpoint(path)
 
 
 def test_adam_state_roundtrip(tmp_path):
@@ -88,3 +140,40 @@ def test_save_to_bad_path(tmp_path):
     model = tiny_model("linear")
     with pytest.raises(IoFailure):
         save_checkpoint(model, tmp_path / "nodir" / "model.npz")
+
+
+def npy_bytes():
+    buf = io.BytesIO()
+    np.save(buf, np.zeros(3))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "content", [b"not a checkpoint", b"PK\x03\x04 truncated", b"", npy_bytes()],
+    ids=["text", "truncated_zip", "empty", "npy"],
+)
+def test_unreadable_file_rejected(content, tmp_path):
+    path = tmp_path / "bad.npz"
+    path.write_bytes(content)
+    with pytest.raises(IoFailure):
+        load_checkpoint(path)
+
+
+def test_missing_array_rejected(tmp_path):
+    path = tmp_path / "model.npz"
+    save_checkpoint(tiny_model("linear"), path)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files if k != "head__A"}
+    np.savez_compressed(path, **arrays)
+    with pytest.raises(IoFailure, match="lacks 'A'"):
+        load_checkpoint(path)
+
+
+def test_P_rows_must_match_units(tmp_path):
+    path = tmp_path / "model.npz"
+    save_checkpoint(tiny_model("linear"), path)
+    with np.load(path) as data:
+        units = json.loads(bytes(data["meta"]).decode())["units"]
+    rewrite(path, path, [(None, "units", units[:-1])])
+    with pytest.raises(IoFailure, match="rows"):
+        load_checkpoint(path)

@@ -1,10 +1,12 @@
 import json
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from phonoam.cli import main
 from phonoam.inventory import LanguageInventory, save_inventory
+from test_checkpoint import rewrite
 
 PHONES = ("d", "ɛ", "ð", "ə", "i", "ʥ", "kʲ")
 
@@ -141,6 +143,44 @@ def test_extend_finetune_eval_flow(trained, workdir, capsys):
     )
     assert code == 0
     assert "PER" in out and "unseen PER" in out
+
+
+def test_extend_with_no_new_phone_adds_nothing(trained, workdir, capsys):
+    save_inventory(LanguageInventory("known", ("d", "ɛ")), workdir / "known.json")
+    code, out = run(
+        capsys, "extend", "--checkpoint", str(trained),
+        "--features", str(workdir / "features.tsv"),
+        "--target", str(workdir / "known.json"), "--out", str(workdir / "same.npz"),
+    )
+    assert code == 0
+    assert "added 0 units" in out
+
+
+@pytest.mark.parametrize("case", ["not_zip", "bias_array", "head_activation", "encoder_activation", "P_rows"])
+def test_eval_bad_checkpoint_exits_2(case, trained, workdir, capsys):
+    bad = workdir / f"bad_{case}.npz"
+    if case == "not_zip":
+        bad.write_bytes(b"this is not an npz archive")
+    elif case == "bias_array":
+        rewrite(trained, bad, head__b=np.zeros(8))
+    elif case == "head_activation":
+        rewrite(trained, bad, [(None, "head_activation", "relu")])
+    elif case == "encoder_activation":
+        rewrite(trained, bad, [("encoder_config", "activation", "relu")])
+    else:
+        rewrite(trained, bad, [(None, "units", ["<blk>"])])
+    code = main(["eval", "--checkpoint", str(bad), "--corpus", str(workdir / "L1.jsonl")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("doc", ['{"phones": ["d"]}', '{"language": "X"}', '["d"]', "{not json"])
+def test_bad_inventory_exits_2(doc, workdir, capsys):
+    path = workdir / "bad_inventory.json"
+    path.write_text(doc, encoding="utf-8")
+    code = main(["phoneset", "stats", "--inventories", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_extend_mode_head_mismatch_exits_2(trained, workdir, capsys):

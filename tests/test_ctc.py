@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from phonoam.ctc import collapse, ctc_loss, greedy_decode, _collapse
 from phonoam.errors import EmptyResult, InfeasibleLength, NonFiniteInput

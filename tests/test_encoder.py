@@ -82,9 +82,8 @@ def test_locality_without_recurrence():
             assert np.any(dx[s] != 0), s
 
 
-@pytest.mark.parametrize("recurrent", [False, True])
-def test_finite_difference_gradients(recurrent):
-    cfg = small_config(recurrent=recurrent)
+def test_finite_difference_gradients():
+    cfg = small_config()
     params = init_encoder(cfg, RNG)
     x = RNG.normal(size=(6, 3))
     dH = RNG.normal(size=(6, 5))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from phonoam import features
 from phonoam.errors import (
     DuplicatePhone,
     MalformedRow,
@@ -136,6 +135,10 @@ class TestInventoryMatrix:
     def test_specials_only(self):
         P = encode_inventory(builtin_table(), [], [SpecialToken.BLANK])
         assert P.shape == (1, 51)
+
+    def test_empty_is_zero_rows(self):
+        P = encode_inventory(builtin_table(), [], specials=[])
+        assert P.shape == (0, 51)
 
     def test_three_phones_all_specials(self):
         P = encode_inventory(builtin_table(), ["d", "i", "ə"], list(SpecialToken))

@@ -117,14 +117,14 @@ class TestBackward:
         dE = RNG.normal(size=(6, 5))
         assert head_backward(head, None, dE)["E"] is dE
 
-    @pytest.mark.parametrize("activation", ["sigmoid", "tanh", "relu"])
-    def test_nonlinear_finite_differences(self, activation):
-        head = make_nonlinear_head(4, RNG, hidden=3, activation=activation, bias=True)
+    def test_nonlinear_finite_differences(self):
+        head = make_nonlinear_head(4, RNG, hidden=3)
         P = random_P(5)
         dE = RNG.normal(size=(5, 4))
         grads = head_backward(head, P, dE)
+        assert set(grads) == {"A1", "A2"}
         eps = 1e-6
-        for name in ("A1", "A2", "b1", "b2"):
+        for name in ("A1", "A2"):
             param = getattr(head, name)
             for idx in np.ndindex(*param.shape):
                 orig = param[idx]

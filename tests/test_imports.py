@@ -1,4 +1,4 @@
-"""Every module in the package uses each name it imports.
+"""Every module in the package, the tests and the scripts uses each name it imports.
 
 No linter runs on this project, so this scan keeps dead imports out.
 """
@@ -11,7 +11,9 @@ import pytest
 import phonoam
 
 PACKAGE_DIR = Path(phonoam.__file__).parent
+REPO_DIR = Path(__file__).resolve().parent.parent
 MODULES = sorted(PACKAGE_DIR.glob("*.py"))
+SCRIPTS = sorted(REPO_DIR.glob("tests/*.py")) + sorted(REPO_DIR.glob("scripts/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,4 +38,9 @@ def test_scanner_finds_an_unused_import():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports_outside_package(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from phonoam.errors import DuplicateLanguageId
+from phonoam.errors import DuplicateLanguageId, DuplicatePhone
 from phonoam.inventory import (
     LanguageInventory,
     language_degree,
@@ -38,7 +38,7 @@ def test_duplicate_language_id():
 
 
 def test_duplicate_phone_within_language():
-    with pytest.raises(DuplicateLanguageId):
+    with pytest.raises(DuplicatePhone):
         LanguageInventory("L1", ("a", "a"))
 
 

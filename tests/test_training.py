@@ -1,8 +1,7 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
+from phonoam import training
 from phonoam.corpus import SynthLanguageSpec, Utterance, generate_language, make_emission_map
 from phonoam.encoder import EncoderConfig
 from phonoam.errors import DimensionMismatch, EmptyCorpus
@@ -10,6 +9,8 @@ from phonoam.features import SpecialToken, builtin_table, encode_inventory
 from phonoam.inventory import LanguageInventory, merge_inventories
 from phonoam.model import build_model, model_params, params_checksum
 from phonoam.training import (
+    LR_FACTOR,
+    LR_FLOOR,
     AdamState,
     TrainConfig,
     adam_step,
@@ -71,11 +72,7 @@ class TestAdam:
 class TestTrainConfig:
     def test_floor_must_be_below_lr(self):
         with pytest.raises(ValueError):
-            TrainConfig(lr=1e-5, lr_floor=1e-3)
-
-    def test_factor_range(self):
-        with pytest.raises(ValueError):
-            TrainConfig(lr_factor=1.5)
+            TrainConfig(lr=LR_FLOOR)
 
 
 class TestTrain:
@@ -116,33 +113,23 @@ class TestTrain:
         assert a.dev_loss[0] == b.dev_loss[0]
         assert len(a.dev_loss) == len(a.dev_per) == len(a.lr) == 2
 
-    def test_freeze_groups(self):
-        for group, prefix in (("encoder", "enc."), ("head", "head.")):
-            model, utts = make_setup()
-            before = {k: v.copy() for k, v in model_params(model).items()}
-            train(model, utts[:6], utts[6:], TrainConfig(max_epochs=1, freeze=frozenset({group})))
-            after = model_params(model)
-            for k in before:
-                if k.startswith(prefix):
-                    assert np.array_equal(before[k], after[k]), k
-                else:
-                    assert not np.array_equal(before[k], after[k]), k
-
     def test_lr_sequence_follows_plateau_schedule(self):
         model, utts = make_setup()
-        cfg = TrainConfig(max_epochs=12, lr=1e-3, lr_factor=0.1, lr_floor=1e-5)
+        cfg = TrainConfig(max_epochs=12, lr=1e-3)
         report = train(model, utts[:8], utts[8:], cfg)
         lrs = report.lr
         assert lrs[0] == cfg.lr
         seen = sorted(set(lrs), reverse=True)
         for v in seen:
-            assert any(np.isclose(v, cfg.lr * cfg.lr_factor**k) for k in range(6))
+            assert any(np.isclose(v, cfg.lr * LR_FACTOR**k) for k in range(6))
         # monotone non-increasing
         assert all(b <= a + 1e-15 for a, b in zip(lrs, lrs[1:]))
 
-    def test_overfits_single_utterance(self):
+    def test_overfits_single_utterance(self, monkeypatch):
+        monkeypatch.setattr(training, "PATIENCE", 50)
+        monkeypatch.setattr(training, "MIN_DELTA", 0.0)
         model, utts = make_setup(head="linear", utterances=2)
-        cfg = TrainConfig(max_epochs=200, lr=1e-2, patience=50, batch_size=1, min_delta=0.0)
+        cfg = TrainConfig(max_epochs=200, lr=1e-2, batch_size=1)
         report = train(model, utts[:1], utts[:1], cfg)
         assert min(report.dev_loss) < 0.1
 
