@@ -24,27 +24,17 @@ HEAD_ACTIVATIONS = (None, "sigmoid")
 REMOVED_ARRAYS = ("enc__R", "head__b", "head__b1", "head__b2")
 
 
-def save_checkpoint(
-    model: AcousticModel,
-    path,
-    epoch: int = 0,
-    adam=None,
-    extra: dict | None = None,
-) -> None:
+def save_checkpoint(model: AcousticModel, path, epoch: int = 0) -> None:
+    """Write the model's parameters; the optimizer state is not kept."""
     meta = {
         "version": FORMAT_VERSION,
         "encoder_config": dataclasses.asdict(model.encoder_config),
         "head_kind": head_kind(model.head),
         "units": list(model.units),
         "epoch": epoch,
-        "adam_step": getattr(adam, "step", None),
-        "extra": extra or {},
     }
     arrays = {f"enc__{k}": v for k, v in model.encoder_params.items()}
     arrays.update({f"head__{k}": v for k, v in head_params(model.head).items()})
-    if adam is not None:
-        arrays.update({f"adam_m__{k}": v for k, v in adam.m.items()})
-        arrays.update({f"adam_v__{k}": v for k, v in adam.v.items()})
     arrays["P"] = model.P
     try:
         np.savez_compressed(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
@@ -96,32 +86,36 @@ def _build(meta: dict, arrays: dict[str, np.ndarray]) -> AcousticModel:
         raise IoFailure(f"unsupported checkpoint version {meta['version']}")
     _strip_removed_options(meta, arrays)
     cfg = meta["encoder_config"]
+    wrong = sorted(set(cfg) ^ {f.name for f in dataclasses.fields(EncoderConfig)})
+    if wrong:
+        raise IoFailure(f"checkpoint encoder_config has unknown or missing keys: {', '.join(wrong)}")
     cfg["hidden"] = tuple(cfg["hidden"])
     encoder_config = EncoderConfig(**cfg)
     enc_params = {k[len("enc__"):]: v for k, v in arrays.items() if k.startswith("enc__")}
+    expected = {}
+    for i, (rows, cols) in enumerate(encoder_config.layer_dims):
+        expected[f"W{i}"], expected[f"b{i}"] = (rows, cols), (rows,)
+    shapes = {k: v.shape for k, v in enc_params.items()}
+    bad = sorted(k for k in shapes.keys() | expected.keys() if shapes.get(k) != expected.get(k))
+    if bad:
+        raise IoFailure(f"checkpoint arrays {', '.join('enc__' + k for k in bad)} do not match encoder_config")
     hp = {k[len("head__"):]: v for k, v in arrays.items() if k.startswith("head__")}
 
+    units = tuple(meta["units"])
     kind = meta["head_kind"]
     if kind == "flat":
         head = FlatHead(E=hp["E"])
+        if head.E.shape != (len(units), encoder_config.output_dim):
+            raise IoFailure(f"checkpoint E is {head.E.shape}, not {len(units)} units x {encoder_config.output_dim}")
     elif kind == "linear":
         head = LinearHead(A=hp["A"])
     elif kind == "nonlinear":
         head = NonlinearHead(A1=hp["A1"], A2=hp["A2"])
     else:
         raise IoFailure(f"unknown head kind {kind!r}")
-    units = tuple(meta["units"])
     P = arrays["P"]
     if P.shape[0] != len(units):
         raise IoFailure(f"checkpoint P has {P.shape[0]} rows for {len(units)} units")
-    if meta.get("adam_step") is not None:
-        from .training import AdamState
-
-        meta["adam"] = AdamState(
-            m={k[len("adam_m__"):]: v for k, v in arrays.items() if k.startswith("adam_m__")},
-            v={k[len("adam_v__"):]: v for k, v in arrays.items() if k.startswith("adam_v__")},
-            step=meta["adam_step"],
-        )
     return AcousticModel(
         encoder_config=encoder_config,
         encoder_params=enc_params,

@@ -126,7 +126,7 @@ def cmd_train(args) -> int:
     model = build_model(phone_set.units, P, enc, head=args.head, seed=args.seed,
                         head_hidden=args.head_hidden)
     report = train_multilingual(corpora, model, _train_config(args))
-    save_checkpoint(model, args.out, epoch=len(report.train_loss), adam=report.adam)
+    save_checkpoint(model, args.out, epoch=len(report.train_loss))
     _write_manifest(args.out, "train", args)
     for e, (tr, dv, lr) in enumerate(zip(report.train_loss, report.dev_loss[1:], report.lr[1:])):
         print(f"epoch {e}: train {tr:.4f} dev {dv:.4f} lr {lr:g}")

@@ -36,9 +36,7 @@ class DenominatorGraph:
     repeats carry no LM weight.
     """
 
-    n_units: int
     states: list[tuple[tuple, int]]
-    state_index: dict[tuple[tuple, int], int]
     # incoming[j] = (source state indices, transition log-weights)
     incoming: list[tuple[np.ndarray, np.ndarray]]
     init_logw: np.ndarray  # per-state initial weight (excl. emission score)
@@ -101,9 +99,7 @@ def build_denominator_graph(n_units: int, lm: PhoneLM | None) -> DenominatorGrap
         incoming.append((src, w))
 
     return DenominatorGraph(
-        n_units=n_units,
         states=states,
-        state_index=state_index,
         incoming=incoming,
         init_logw=init_logw,
         final_logw=np.array([final(ctx) for ctx, _ in states]),

@@ -2,8 +2,9 @@
 
 Frames are spliced with `context` neighbours on each side (zero padded at the
 edges) and passed through a stack of tanh layers, so h_t depends only on the
-frames within `context` of t.  Forward and backward are exact and written by
-hand so the whole model can be finite-difference checked.
+frames within `context` of t.  The backward pass is written by hand and gives
+exact parameter gradients, so the whole model can be finite-difference
+checked; the frames are data, so it computes no gradient for them.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def encoder_forward(config: EncoderConfig, params: dict[str, np.ndarray], x: np.
         a = np.tanh(a @ params[f"W{i}"].T + params[f"b{i}"])
         outputs.append(a)
 
-    cache = {"x_shape": x.shape, "inputs": inputs, "outputs": outputs, "n_layers": n_layers}
+    cache = {"inputs": inputs, "outputs": outputs, "n_layers": n_layers}
     return outputs[-1], cache
 
 
@@ -77,7 +78,7 @@ def encoder_backward(
     cache: dict,
     dH: np.ndarray,
 ):
-    """Exact gradients: returns (dparams, dx) for the cached forward pass."""
+    """Exact parameter gradients for the cached forward pass."""
     if cache.get("n_layers") != len(config.layer_dims):
         raise StaleCache("cache does not match this encoder configuration")
     if dH.shape != cache["outputs"][-1].shape:
@@ -90,17 +91,6 @@ def encoder_backward(
         d_pre = d_out * (1.0 - out * out)
         grads[f"W{i}"] = d_pre.T @ cache["inputs"][i]
         grads[f"b{i}"] = d_pre.sum(axis=0)
-        d_out = d_pre @ params[f"W{i}"]
-
-    dx = _unsplice(d_out, cache["x_shape"], config.context)
-    return grads, dx
-
-
-def _unsplice(d_spliced: np.ndarray, x_shape: tuple[int, int], w: int) -> np.ndarray:
-    if w == 0:
-        return d_spliced
-    T, D = x_shape
-    dx_padded = np.zeros((T + 2 * w, D))
-    for k in range(2 * w + 1):
-        dx_padded[k : k + T] += d_spliced[:, k * D : (k + 1) * D]
-    return dx_padded[w : w + T]
+        if i:
+            d_out = d_pre @ params[f"W{i}"]
+    return grads

@@ -89,6 +89,13 @@ class EvalResult:
         return self.unseen_errors / self.unseen_len if self.unseen_len else 0.0
 
 
+def check_covered(index: dict[str, int], utterances) -> None:
+    """InventoryMismatch naming every phone of the utterances that is not a unit."""
+    missing = sorted({p for utt in utterances for p in utt.phones} - index.keys())
+    if missing:
+        raise InventoryMismatch(f"phones {missing} not covered by the model")
+
+
 def evaluate(
     model: AcousticModel,
     utterances: list[Utterance],
@@ -102,11 +109,9 @@ def evaluate(
     class-wise errors and token counts add back up to the overall PER.
     """
     index = model.unit_index()
+    check_covered(index, utterances)
     result = EvalResult()
     for utt in utterances:
-        missing = [p for p in utt.phones if p not in index]
-        if missing:
-            raise InventoryMismatch(f"phones {missing} not covered by the model")
         ref_units = [index[p] for p in utt.phones]
         Z, _ = model_forward(model, utt.frames)
         hyp_units = greedy_decode(Z)

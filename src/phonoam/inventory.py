@@ -80,7 +80,12 @@ def load_inventory(path) -> LanguageInventory:
         raise IoFailure(f"cannot read inventory {path}: {exc}") from exc
     if not isinstance(doc, dict) or "language" not in doc or "phones" not in doc:
         raise IoFailure(f"inventory {path} must be a JSON object with `language` and `phones`")
-    return LanguageInventory(language_id=doc["language"], phones=tuple(doc["phones"]))
+    language, phones = doc["language"], doc["phones"]
+    if not isinstance(language, str):
+        raise IoFailure(f"inventory {path}: `language` must be a string")
+    if not isinstance(phones, list) or not all(isinstance(p, str) for p in phones):
+        raise IoFailure(f"inventory {path}: `phones` must be a list of strings")
+    return LanguageInventory(language_id=language, phones=tuple(phones))
 
 
 def save_inventory(inv: LanguageInventory, path) -> None:

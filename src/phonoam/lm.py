@@ -27,7 +27,6 @@ BOS = -1  # sentinel context symbol
 class PhoneLM:
     order: int
     vocab: tuple[int, ...]  # unit indices, blank excluded
-    smoothing: float
     next_logp: dict[tuple, dict[int, float]]
     cont_logp: dict[tuple, tuple[float, float]]  # context -> (log cont, log stop)
 
@@ -68,18 +67,20 @@ def train_phone_lm(
     smoothing: float = 1.0,
     vocab=None,
 ) -> PhoneLM:
-    """Estimate an add-k n-gram label LM from blank-free label sequences."""
+    """Estimate an add-k n-gram label LM (k = smoothing >= 0) from blank-free label sequences."""
     sequences = [list(s) for s in sequences]
     if not sequences or all(not s for s in sequences):
         raise EmptyCorpus("phone LM needs at least one non-empty label sequence")
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
+    k = float(smoothing)
+    if not k >= 0.0:
+        raise ValueError(f"smoothing must be >= 0, got {smoothing}")
 
     if vocab is None:
         vocab = sorted({lab for s in sequences for lab in s})
     vocab = tuple(vocab)
     V = len(vocab)
-    k = float(smoothing)
 
     next_counts: dict[tuple, dict[int, int]] = {}
     cont_counts: dict[tuple, list[int]] = {}  # [continue, stop]
@@ -97,9 +98,6 @@ def train_phone_lm(
     for ctx, counts in next_counts.items():
         total = sum(counts.values())
         denom = total + k * V
-        if denom == 0.0:
-            next_logp[ctx] = {u: -np.log(V) for u in vocab}
-            continue
         next_logp[ctx] = {
             u: np.log((counts.get(u, 0) + k) / denom) if counts.get(u, 0) + k > 0
             else -np.inf
@@ -109,19 +107,10 @@ def train_phone_lm(
     cont_logp: dict[tuple, tuple[float, float]] = {}
     for ctx, (n_cont, n_stop) in cont_counts.items():
         denom = n_cont + n_stop + 2 * k
-        if denom == 0.0:
-            cont_logp[ctx] = (np.log(0.5), np.log(0.5))
-            continue
         with np.errstate(divide="ignore"):
             cont_logp[ctx] = (
                 float(np.log((n_cont + k) / denom)),
                 float(np.log((n_stop + k) / denom)),
             )
 
-    return PhoneLM(
-        order=order,
-        vocab=vocab,
-        smoothing=k,
-        next_logp=next_logp,
-        cont_logp=cont_logp,
-    )
+    return PhoneLM(order=order, vocab=vocab, next_logp=next_logp, cont_logp=cont_logp)

@@ -170,9 +170,7 @@ def model_loss_and_grads(
     dZ = result.dZ
     dH = dZ @ cache["E"]
     dE = dZ.T @ cache["H_seq"]
-    enc_grads, _ = encoder_backward(
-        model.encoder_config, model.encoder_params, cache["enc"], dH
-    )
+    enc_grads = encoder_backward(model.encoder_config, model.encoder_params, cache["enc"], dH)
     h_grads = head_backward(model.head, model.P, dE)
     grads = {f"enc.{k}": v for k, v in enc_grads.items()}
     grads.update({f"head.{k}": v for k, v in h_grads.items()})

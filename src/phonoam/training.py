@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Utterance
-from .crf import DenominatorGraph, build_denominator_graph
+from .crf import build_denominator_graph
 from .ctc import check_feasible, greedy_decode
 from .errors import DimensionMismatch, EmptyCorpus, InfeasibleLength, InvalidTrainConfig
-from .evaluate import edit_distance
-from .lm import PhoneLM, train_phone_lm
+from .evaluate import check_covered, edit_distance
+from .lm import train_phone_lm
 from .model import (
     AcousticModel,
     model_forward,
@@ -32,6 +32,9 @@ LR_FLOOR = 1e-5
 PATIENCE = 2
 MIN_DELTA = 1e-4
 CLIP_NORM = 5.0  # bound on the global gradient norm of each step
+BETA1 = 0.9  # Adam's decay rates for the first and second moments
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass
@@ -53,9 +56,6 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_adam(params: dict[str, np.ndarray]) -> AdamState:
@@ -79,11 +79,11 @@ def adam_step(
         g = grads[name]
         if g.shape != p.shape:
             raise DimensionMismatch(f"{name}: grad {g.shape} vs param {p.shape}")
-        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
-        m_hat = state.m[name] / (1 - state.beta1**t)
-        v_hat = state.v[name] / (1 - state.beta2**t)
-        out[name] = p - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        state.m[name] = BETA1 * state.m[name] + (1 - BETA1) * g
+        state.v[name] = BETA2 * state.v[name] + (1 - BETA2) * g * g
+        m_hat = state.m[name] / (1 - BETA1**t)
+        v_hat = state.v[name] / (1 - BETA2**t)
+        out[name] = p - lr * m_hat / (np.sqrt(v_hat) + EPS)
     return out
 
 
@@ -95,7 +95,6 @@ class TrainReport:
     lr: list[float] = field(default_factory=list)
     skipped: int = 0
     final_checksum: str = ""
-    adam: AdamState | None = None
 
 
 def _clip_global(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
@@ -140,30 +139,27 @@ def train(
     train_set: list[Utterance],
     dev_set: list[Utterance],
     config: TrainConfig,
-    lm: PhoneLM | None = None,
-    adam: AdamState | None = None,
 ) -> TrainReport:
-    """Optimize the model in place; returns the per-epoch report.
+    """Optimize the model in place from a fresh Adam state; returns the per-epoch report.
 
-    With loss "ctc_crf" and no LM given, a label n-gram LM is estimated from
-    the training transcripts (order from the config).
+    With loss "ctc_crf", a label n-gram LM is estimated from the training
+    transcripts (order from the config).  InventoryMismatch if a training or
+    dev utterance holds a phone the model lacks.
     """
     if not train_set:
         raise EmptyCorpus("no training utterances")
     index = model.unit_index()
+    check_covered(index, [*train_set, *dev_set])
     report = TrainReport()
 
-    graph: DenominatorGraph | None = None
+    lm = graph = None
     if config.loss == "ctc_crf":
-        if lm is None:
-            lm = train_phone_lm(
-                [_labels_of(u, index) for u in train_set],
-                order=config.lm_order,
-                vocab=range(1, model.n_units),  # denominator graph spans every unit
-            )
+        lm = train_phone_lm(
+            [_labels_of(u, index) for u in train_set],
+            order=config.lm_order,
+            vocab=range(1, model.n_units),  # denominator graph spans every unit
+        )
         graph = build_denominator_graph(model.n_units, lm)
-    else:
-        lm = None
 
     usable = []
     for utt in train_set:
@@ -176,8 +172,7 @@ def train(
         raise EmptyCorpus("every training utterance is infeasible for the loss")
 
     params = model_params(model)
-    if adam is None:
-        adam = init_adam(params)
+    adam = init_adam(params)
     rng = np.random.default_rng(config.seed)
     lr = config.lr
     best_dev = float("inf")
@@ -225,7 +220,6 @@ def train(
                     break
 
     report.final_checksum = params_checksum(model_params(model))
-    report.adam = adam
     return report
 
 
@@ -251,12 +245,10 @@ def finetune(
     model: AcousticModel,
     target_set: list[Utterance],
     config: TrainConfig,
-    dev_set: list[Utterance] | None = None,
 ) -> TrainReport:
-    """Continue optimization on target-language data only.
+    """Continue optimization on target-language data only, from a fresh Adam state.
 
     The model is expected to already carry the extended inventory (via
-    `extend_model`); a fresh Adam state is used since the extension changed
-    the parameter shapes for flat heads.
+    `extend_model`); the dev loss is measured on the training utterances.
     """
-    return train(model, target_set, dev_set or [], config)
+    return train(model, target_set, [], config)

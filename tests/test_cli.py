@@ -156,7 +156,8 @@ def test_extend_with_no_new_phone_adds_nothing(trained, workdir, capsys):
     assert "added 0 units" in out
 
 
-@pytest.mark.parametrize("case", ["not_zip", "bias_array", "head_activation", "encoder_activation", "P_rows"])
+@pytest.mark.parametrize("case", ["not_zip", "bias_array", "head_activation", "encoder_activation", "P_rows",
+                                  "encoder_key", "encoder_shape"])
 def test_eval_bad_checkpoint_exits_2(case, trained, workdir, capsys):
     bad = workdir / f"bad_{case}.npz"
     if case == "not_zip":
@@ -167,6 +168,11 @@ def test_eval_bad_checkpoint_exits_2(case, trained, workdir, capsys):
         rewrite(trained, bad, [(None, "head_activation", "relu")])
     elif case == "encoder_activation":
         rewrite(trained, bad, [("encoder_config", "activation", "relu")])
+    elif case == "encoder_key":
+        rewrite(trained, bad, [("encoder_config", "extra_knob", 1)])
+    elif case == "encoder_shape":
+        with np.load(trained) as data:
+            rewrite(trained, bad, enc__W0=data["enc__W0"][:, :-1])
     else:
         rewrite(trained, bad, [(None, "units", ["<blk>"])])
     code = main(["eval", "--checkpoint", str(bad), "--corpus", str(workdir / "L1.jsonl")])
@@ -174,7 +180,11 @@ def test_eval_bad_checkpoint_exits_2(case, trained, workdir, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("doc", ['{"phones": ["d"]}', '{"language": "X"}', '["d"]', "{not json"])
+@pytest.mark.parametrize("doc", [
+    '{"phones": ["d"]}', '{"language": "X"}', '["d"]', "{not json",
+    '{"language": "X", "phones": 5}', '{"language": "X", "phones": "abc"}',
+    '{"language": "X", "phones": ["d", 5]}', '{"language": 3, "phones": ["d"]}',
+])
 def test_bad_inventory_exits_2(doc, workdir, capsys):
     path = workdir / "bad_inventory.json"
     path.write_text(doc, encoding="utf-8")
@@ -210,6 +220,16 @@ def test_eval_fails_cleanly_on_uncovered_corpus(trained, workdir, capsys):
     code, _ = run(capsys, "eval", "--checkpoint", str(trained),
                   "--corpus", str(workdir / "target.jsonl"))
     assert code == 2
+
+
+def test_finetune_fails_cleanly_on_uncovered_corpus(trained, workdir, capsys):
+    # finetuning the unextended model on kʲ is refused before any training
+    out = workdir / "never_finetuned.npz"
+    code = main(["finetune", "--checkpoint", str(trained), "--corpus", str(workdir / "target.jsonl"),
+                 "--epochs", "1", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: phones ['kʲ'] not covered by the model\n"
+    assert not out.exists()
 
 
 def test_export_embeddings(trained, workdir, capsys):

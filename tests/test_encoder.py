@@ -54,9 +54,9 @@ def test_zero_upstream_gradient():
     cfg = small_config()
     params = init_encoder(cfg, RNG)
     H, cache = encoder_forward(cfg, params, RNG.normal(size=(5, 3)))
-    grads, dx = encoder_backward(cfg, params, cache, np.zeros_like(H))
+    grads = encoder_backward(cfg, params, cache, np.zeros_like(H))
+    assert grads.keys() == params.keys()
     assert all(np.all(g == 0) for g in grads.values())
-    assert np.all(dx == 0)
 
 
 def test_stale_cache_detected():
@@ -71,15 +71,12 @@ def test_locality_without_recurrence():
     cfg = small_config(context=1)
     params = init_encoder(cfg, RNG)
     x = RNG.normal(size=(8, 3))
-    H, cache = encoder_forward(cfg, params, x)
-    dH = np.zeros_like(H)
-    dH[4] = 1.0  # gradient only through frame 4
-    _, dx = encoder_backward(cfg, params, cache, dH)
+    H, _ = encoder_forward(cfg, params, x)
     for s in range(8):
-        if abs(s - 4) > cfg.context:
-            assert np.all(dx[s] == 0), s
-        else:
-            assert np.any(dx[s] != 0), s
+        moved = x.copy()
+        moved[s] += 1.0  # perturb frame s only
+        changed = np.any(encoder_forward(cfg, params, moved)[0] != H, axis=1)
+        assert list(np.flatnonzero(changed)) == [t for t in range(8) if abs(t - s) <= cfg.context], s
 
 
 def test_finite_difference_gradients():
@@ -93,7 +90,8 @@ def test_finite_difference_gradients():
         return float((H * dH).sum()), cache
 
     base, cache = loss()
-    grads, dx = encoder_backward(cfg, params, cache, dH)
+    grads = encoder_backward(cfg, params, cache, dH)
+    assert grads.keys() == params.keys()
     eps = 1e-6
     for name, p in params.items():
         for idx in np.ndindex(*p.shape):
@@ -106,14 +104,3 @@ def test_finite_difference_gradients():
             fd = (up - down) / (2 * eps)
             rel = abs(fd - grads[name][idx]) / max(abs(fd), abs(grads[name][idx]), 1e-6)
             assert rel < 1e-4, (name, idx)
-    # and the input gradient
-    for idx in np.ndindex(*x.shape):
-        orig = x[idx]
-        x[idx] = orig + eps
-        up, _ = loss()
-        x[idx] = orig - eps
-        down, _ = loss()
-        x[idx] = orig
-        fd = (up - down) / (2 * eps)
-        rel = abs(fd - dx[idx]) / max(abs(fd), abs(dx[idx]), 1e-6)
-        assert rel < 1e-4, idx

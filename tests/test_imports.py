@@ -1,4 +1,5 @@
-"""Every module in the package, the tests and the scripts uses each name it imports.
+"""Every module in the package, the tests, the scripts and the benchmark
+harness uses each name it imports.
 
 No linter runs on this project, so this scan keeps dead imports out.
 """
@@ -13,7 +14,7 @@ import phonoam
 PACKAGE_DIR = Path(phonoam.__file__).parent
 REPO_DIR = Path(__file__).resolve().parent.parent
 MODULES = sorted(PACKAGE_DIR.glob("*.py"))
-SCRIPTS = sorted(REPO_DIR.glob("tests/*.py")) + sorted(REPO_DIR.glob("scripts/*.py"))
+SCRIPTS = [p for d in ("tests", "scripts", "perfbench") for p in sorted(REPO_DIR.glob(f"{d}/*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:

@@ -43,6 +43,10 @@ class TestPhoneLM:
         lm = train_phone_lm([[1, 2]], order=2, smoothing=1.0, vocab=[1, 2, 3])
         assert np.isclose(np.exp(lm.logp_next(3, (3,))), 1 / 3)
 
+    def test_negative_smoothing_rejected(self):
+        with pytest.raises(ValueError, match="smoothing"):
+            train_phone_lm([[1, 2]], order=1, smoothing=-1)
+
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
             train_phone_lm([], order=1)

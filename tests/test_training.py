@@ -1,17 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 
 from phonoam import training
 from phonoam.corpus import SynthLanguageSpec, Utterance, generate_language, make_emission_map
 from phonoam.encoder import EncoderConfig
-from phonoam.errors import DimensionMismatch, EmptyCorpus
+from phonoam.errors import DimensionMismatch, EmptyCorpus, InventoryMismatch
 from phonoam.features import SpecialToken, builtin_table, encode_inventory
 from phonoam.inventory import LanguageInventory, merge_inventories
 from phonoam.model import build_model, model_params, params_checksum
 from phonoam.training import (
     LR_FACTOR,
     LR_FLOOR,
-    AdamState,
     TrainConfig,
     adam_step,
     finetune,
@@ -95,6 +96,18 @@ class TestTrain:
         with pytest.raises(EmptyCorpus):
             train(model, [short], [], TrainConfig(max_epochs=1))
 
+    @pytest.mark.parametrize("where", ["train", "dev"])
+    def test_uncovered_phone_rejected_before_training(self, where):
+        model, utts = make_setup(n_phones=4)
+        _, other = make_setup(n_phones=6)  # a language with two phones the model lacks
+        stranger = next(u for u in other if set(u.phones) - set(model.units))
+        missing = sorted(set(stranger.phones) - set(model.units))
+        before = params_checksum(model_params(model))
+        tr, dev = (utts[:4] + [stranger], utts[4:]) if where == "train" else (utts[:4], [stranger])
+        with pytest.raises(InventoryMismatch, match=re.escape(f"phones {missing} not covered")):
+            train(model, tr, dev, TrainConfig(loss="ctc_crf", max_epochs=1))
+        assert params_checksum(model_params(model)) == before
+
     def test_deterministic_given_seed(self):
         reports = []
         for _ in range(2):
@@ -158,12 +171,3 @@ class TestMultilingualAndFinetune:
         before = params_checksum(model_params(model))
         finetune(model, utts[:4], TrainConfig(max_epochs=1))
         assert params_checksum(model_params(model)) != before
-
-    def test_adam_state_returned_and_resumable(self):
-        model, utts = make_setup()
-        report = train(model, utts[:6], utts[6:], TrainConfig(max_epochs=1))
-        assert isinstance(report.adam, AdamState)
-        assert report.adam.step > 0
-        # resuming with the same state keeps the counter going
-        report2 = train(model, utts[:6], utts[6:], TrainConfig(max_epochs=1), adam=report.adam)
-        assert report2.adam.step > report.adam.step or report2.adam is report.adam
