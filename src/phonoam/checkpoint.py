@@ -84,11 +84,23 @@ def load_checkpoint(path) -> tuple[AcousticModel, dict]:
 def _build(meta: dict, arrays: dict[str, np.ndarray]) -> AcousticModel:
     if meta["version"] != FORMAT_VERSION:
         raise IoFailure(f"unsupported checkpoint version {meta['version']}")
+    if not isinstance(meta["encoder_config"], dict):
+        raise IoFailure("checkpoint encoder_config is not a JSON object")
     _strip_removed_options(meta, arrays)
     cfg = meta["encoder_config"]
     wrong = sorted(set(cfg) ^ {f.name for f in dataclasses.fields(EncoderConfig)})
     if wrong:
         raise IoFailure(f"checkpoint encoder_config has unknown or missing keys: {', '.join(wrong)}")
+    # JSON integers load as int exactly; a bool, float or string is refused
+    if not (
+        all(type(cfg[k]) is int for k in ("input_dim", "context", "output_dim"))
+        and isinstance(cfg["hidden"], list)
+        and all(type(h) is int and h > 0 for h in cfg["hidden"])
+    ):
+        raise IoFailure(
+            "checkpoint encoder_config needs integer input_dim, context and output_dim"
+            " and hidden as a list of positive integers"
+        )
     cfg["hidden"] = tuple(cfg["hidden"])
     encoder_config = EncoderConfig(**cfg)
     enc_params = {k[len("enc__"):]: v for k, v in arrays.items() if k.startswith("enc__")}

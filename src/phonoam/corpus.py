@@ -54,7 +54,7 @@ def generate_language(
     """Seeded utterances for one language; deterministic given the spec."""
     for p in spec.inventory:
         if p not in table:
-            raise UnknownPhone(f"{p!r} missing from feature table")
+            raise UnknownPhone(f"phone {p!r} is not in the feature table")
     rng = np.random.default_rng(spec.seed)
     D = W.shape[0]
     offset = rng.normal(0.0, spec.offset_std, size=D) if spec.offset_std > 0 else np.zeros(D)
@@ -103,21 +103,49 @@ def save_corpus(utterances: list[Utterance], path) -> None:
         raise IoFailure(str(exc)) from exc
 
 
+def _json_object(line: str, where: str) -> dict:
+    try:
+        rec = json.loads(line)
+    except ValueError as exc:
+        raise IoFailure(f"{where}: not JSON ({exc})") from exc
+    if not isinstance(rec, dict):
+        raise IoFailure(f"{where}: not a JSON object")
+    return rec
+
+
+def _utterance(rec: dict, symbols: list[str], where: str) -> Utterance:
+    language, labels = rec.get("language"), rec.get("labels")
+    if not isinstance(language, str):
+        raise IoFailure(f"{where}: 'language' must be a string")
+    # JSON integers load as int exactly, so bools and floats are refused
+    if not (isinstance(labels, list) and all(type(i) is int and 0 <= i < len(symbols) for i in labels)):
+        raise IoFailure(f"{where}: 'labels' must be a list of symbol indices in [0, {len(symbols)})")
+    try:
+        frames = np.array(rec.get("frames"), dtype=np.float64)
+    except (ValueError, TypeError):
+        frames = None
+    if frames is None or frames.ndim != 2 or frames.size == 0 or not np.isfinite(frames).all():
+        raise IoFailure(f"{where}: 'frames' must be a non-empty list of equal-length rows of finite numbers")
+    return Utterance(frames=frames, phones=tuple(symbols[i] for i in labels), language_id=language)
+
+
 def load_corpus(path) -> list[Utterance]:
+    """Read a file written by save_corpus; IoFailure names the first bad line."""
     try:
         with open(path, encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
-            symbols = header["symbols"]
-            utterances = []
-            for line in fh:
-                rec = json.loads(line)
-                utterances.append(
-                    Utterance(
-                        frames=np.array(rec["frames"], dtype=np.float64),
-                        phones=tuple(symbols[i] for i in rec["labels"]),
-                        language_id=rec["language"],
-                    )
-                )
-    except OSError as exc:
+            symbols = _json_object(fh.readline(), f"{path} line 1").get("symbols")
+            if not (isinstance(symbols, list) and all(isinstance(s, str) for s in symbols)):
+                raise IoFailure(f"{path} line 1: header needs 'symbols', a list of strings")
+            utterances, dim = [], None
+            for lineno, line in enumerate(fh, start=2):
+                where = f"{path} line {lineno}"
+                utt = _utterance(_json_object(line, where), symbols, where)
+                dim = dim or utt.frames.shape[1]
+                if utt.frames.shape[1] != dim:
+                    raise IoFailure(f"{where}: frames have {utt.frames.shape[1]} columns, line 2 has {dim}")
+                utterances.append(utt)
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(str(exc)) from exc
+    if not utterances:
+        raise IoFailure(f"{path} line 2: no utterance after the header")
     return utterances

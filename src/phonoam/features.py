@@ -122,7 +122,7 @@ def parse_feature_table(text: str) -> FeatureTable:
             if m not in MARKS:
                 raise UnknownMark(f"row {phone!r}: mark {m!r} not in {MARKS}")
         if phone in rows:
-            raise DuplicatePhone(phone)
+            raise DuplicatePhone(f"phone {phone!r} appears twice in the feature table")
         rows[phone] = marks
 
     # Phones with identical rows are allowed but produce identical vectors
@@ -154,7 +154,7 @@ def builtin_table() -> FeatureTable:
 def encode_phone(table: FeatureTable, phone: str) -> np.ndarray:
     """51-bit phonological-vector of a regular phone (special bits all zero)."""
     if phone not in table.rows:
-        raise UnknownPhone(phone)
+        raise UnknownPhone(f"phone {phone!r} is not in the feature table")
     vec = np.zeros(VECTOR_BITS, dtype=np.float64)
     for k, mark in enumerate(table.rows[phone]):
         if mark == "+":

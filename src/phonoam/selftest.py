@@ -124,4 +124,15 @@ def run_selftest(seed: int = 0, verbose: bool = True) -> bool:
     report("ctc-crf denominator vs brute force", worst_val < 1e-9, f"max |d|={worst_val:.2e}")
     report("ctc-crf gradient vs finite differences", worst_grad < 1e-4, f"max rel={worst_grad:.2e}")
 
+    # add-0 bigram LM: unseen transitions weigh -inf, so the transition matrix holds zeros
+    errs = []
+    for _ in range(10):
+        Z, labels = _random_instance(rng, t_max=3, n_max=3)
+        corpus = [labels, [int(rng.integers(1, Z.shape[1]))]]
+        lm = train_phone_lm(corpus, order=2, smoothing=0.0, vocab=range(1, Z.shape[1]))
+        logden, _ = denominator_forward_backward(build_denominator_graph(Z.shape[1], lm), log_posteriors(Z))
+        errs.append(abs(logden - brute_force_crf_denominator(Z, lm)))
+    worst = float(np.max(errs))  # NaN propagates and fails the check
+    report("ctc-crf denominator vs brute force, add-0 bigram LM", worst < 1e-9, f"max |d|={worst:.2e}")
+
     return ok

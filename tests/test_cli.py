@@ -49,8 +49,9 @@ def test_encode_prints_51_bits(workdir, capsys):
 
 
 def test_encode_unknown_phone_exits_2(workdir, capsys):
-    code, _ = run(capsys, "encode", "--features", str(workdir / "features.tsv"), "--phone", "zz")
+    code = main(["encode", "--features", str(workdir / "features.tsv"), "--phone", "zz"])
     assert code == 2
+    assert capsys.readouterr().err == "error: phone 'zz' is not in the feature table\n"
 
 
 def test_usage_error_exits_1(capsys):
@@ -156,11 +157,25 @@ def test_extend_with_no_new_phone_adds_nothing(trained, workdir, capsys):
     assert "added 0 units" in out
 
 
+BAD_ENCODER_VALUES = {
+    "hidden_int": ("hidden", 8),
+    "hidden_negative": ("hidden", [-8]),
+    "hidden_float": ("hidden", [8.0]),
+    "context_bool": ("context", True),
+    "input_dim_str": ("input_dim", "6"),
+    "output_dim_null": ("output_dim", None),
+}
+
+
 @pytest.mark.parametrize("case", ["not_zip", "bias_array", "head_activation", "encoder_activation", "P_rows",
-                                  "encoder_key", "encoder_shape"])
+                                  "encoder_key", "encoder_shape", "encoder_not_object", *BAD_ENCODER_VALUES])
 def test_eval_bad_checkpoint_exits_2(case, trained, workdir, capsys):
     bad = workdir / f"bad_{case}.npz"
-    if case == "not_zip":
+    if case in BAD_ENCODER_VALUES:
+        rewrite(trained, bad, [("encoder_config", *BAD_ENCODER_VALUES[case])])
+    elif case == "encoder_not_object":
+        rewrite(trained, bad, [(None, "encoder_config", [6, 1, [8], 8])])
+    elif case == "not_zip":
         bad.write_bytes(b"this is not an npz archive")
     elif case == "bias_array":
         rewrite(trained, bad, head__b=np.zeros(8))
@@ -191,6 +206,47 @@ def test_bad_inventory_exits_2(doc, workdir, capsys):
     code = main(["phoneset", "stats", "--inventories", str(path)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _corpus_lines(workdir):
+    header, first, second = (workdir / "L1.jsonl").read_text(encoding="utf-8").splitlines()[:3]
+    return header, json.loads(first), second
+
+
+@pytest.mark.parametrize("case, line", [
+    ("empty", 1), ("header_not_object", 1), ("no_symbols", 1), ("header_only", 2), ("bad_json", 3),
+    ("label_out_of_range", 2), ("label_negative", 2), ("label_float", 2), ("ragged_frames", 2),
+    ("no_frames", 2), ("frame_dims_differ", 3),
+])
+def test_eval_bad_corpus_exits_2(case, line, trained, workdir, capsys):
+    header, rec, second = _corpus_lines(workdir)
+    if case == "empty":
+        lines = []
+    elif case == "header_not_object":
+        lines = ['["d"]', second]
+    elif case == "no_symbols":
+        lines = ['{"units": ["d"]}', second]
+    elif case == "header_only":
+        lines = [header]
+    elif case == "bad_json":
+        lines = [header, second, "{not json"]
+    elif case == "frame_dims_differ":
+        rec["frames"] = [row[:-1] for row in rec["frames"]]
+        lines = [header, second, json.dumps(rec)]
+    else:
+        rec.update({
+            "label_out_of_range": {"labels": [len(json.loads(header)["symbols"])]},
+            "label_negative": {"labels": [-1]},
+            "label_float": {"labels": [1.0]},
+            "ragged_frames": {"frames": [rec["frames"][0], rec["frames"][1][:-1]]},
+            "no_frames": {"frames": []},
+        }[case])
+        lines = [header, json.dumps(rec)]
+    bad = workdir / f"bad_{case}.jsonl"
+    bad.write_text("".join(ln + "\n" for ln in lines), encoding="utf-8")
+    code = main(["eval", "--checkpoint", str(trained), "--corpus", str(bad)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad} line {line}: ")
 
 
 def test_extend_mode_head_mismatch_exits_2(trained, workdir, capsys):

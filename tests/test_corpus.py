@@ -95,7 +95,7 @@ def test_frame_count_within_duration_bounds():
 
 def test_unknown_phone_rejected():
     s = spec(inventory=("d", "zz"))
-    with pytest.raises(UnknownPhone):
+    with pytest.raises(UnknownPhone, match="^phone 'zz' is not in the feature table$"):
         generate_language(s, TABLE, make_emission_map(5, 2))
 
 

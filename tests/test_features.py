@@ -52,7 +52,7 @@ class TestParse:
             parse_feature_table(doc)
 
     def test_duplicate_phone_rejected(self):
-        with pytest.raises(DuplicatePhone):
+        with pytest.raises(DuplicatePhone, match="^phone 'i' appears twice in the feature table$"):
             parse_feature_table(make_doc([("i", I_MARKS), ("i", I_MARKS)]))
 
     def test_wrong_cell_count_rejected(self):
@@ -89,7 +89,7 @@ class TestEncode:
         assert "".join(str(int(b)) for b in vec) == I_BITS.replace(" ", "") + "000"
 
     def test_unknown_phone(self):
-        with pytest.raises(UnknownPhone):
+        with pytest.raises(UnknownPhone, match="^phone 'q' is not in the feature table$"):
             encode_phone(builtin_table(), "q")
 
     def test_specials_one_hot(self):
@@ -145,5 +145,5 @@ class TestInventoryMatrix:
         assert P.shape == (6, 51)
 
     def test_unknown_phone_raises(self):
-        with pytest.raises(UnknownPhone):
+        with pytest.raises(UnknownPhone, match="^phone 'zz' is not in the feature table$"):
             encode_inventory(builtin_table(), ["zz"], [SpecialToken.BLANK])

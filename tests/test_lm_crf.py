@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from phonoam.crf import build_denominator_graph, crf_loss, denominator_forward_backward
-from phonoam.ctc import ctc_loss
+from phonoam.ctc import _collapse, ctc_loss
 from phonoam.errors import EmptyCorpus
-from phonoam.heads import log_posteriors
+from phonoam.heads import log_posteriors, posteriors
 from phonoam.lm import train_phone_lm
 from phonoam.selftest import (
     brute_force_crf_denominator,
@@ -56,8 +58,6 @@ class TestPhoneLM:
     def test_score_sums_to_one_over_short_sequences(self):
         # proper distribution: total mass over sequences up to a long horizon
         lm = train_phone_lm([[1], [2, 1], [1, 2]], order=2, smoothing=1.0)
-        import itertools
-
         total = 0.0
         for L in range(0, 8):
             for seq in itertools.product(lm.vocab, repeat=L):
@@ -73,6 +73,44 @@ class TestReduction:
             b = crf_loss(Z, labels, lm=None)
             assert abs(a.nll - b.nll) < 1e-8
             assert np.max(np.abs(a.dZ - b.dZ)) < 1e-8
+
+
+def brute_force_occupancy(Z, lm):
+    """Per-frame unit occupancy under the CRF, by enumerating all frame paths."""
+    y = posteriors(Z)
+    T, N = Z.shape
+    counts = np.zeros((T, N))
+    for path in itertools.product(range(N), repeat=T):
+        p = np.prod(y[np.arange(T), path]) * np.exp(lm.score(_collapse(path)))
+        counts[np.arange(T), path] += p
+    return counts / counts[0].sum()
+
+
+def edge_list_denominator(graph, logy):
+    """The per-state recursion over `graph.incoming` that the matrix form replaced."""
+    T, S = len(logy), len(graph.states)
+    emit = logy[:, graph.state_unit]
+    la, lb = np.full((T, S), -np.inf), np.full((T, S), -np.inf)
+    la[0] = graph.init_logw + emit[0]
+    lb[T - 1] = graph.final_logw
+    for t in range(1, T):
+        for j, (src, w) in enumerate(graph.incoming):
+            la[t, j] = np.logaddexp.reduce(la[t - 1, src] + w) + emit[t, j]
+    for t in range(T - 2, -1, -1):
+        for j, (src, w) in enumerate(graph.incoming):
+            np.logaddexp.at(lb[t], src, lb[t + 1, j] + emit[t + 1, j] + w)
+    logden = np.logaddexp.reduce(la[T - 1] + graph.final_logw)
+    counts = np.zeros_like(logy)
+    np.add.at(counts.T, graph.state_unit, np.exp(la + lb - logden).T)
+    return logden, counts
+
+
+def check_against_brute_force(Z, lm):
+    logden, counts = denominator_forward_backward(
+        build_denominator_graph(Z.shape[1], lm), log_posteriors(Z)
+    )
+    assert abs(logden - brute_force_crf_denominator(Z, lm)) < 1e-9
+    assert np.max(np.abs(counts - brute_force_occupancy(Z, lm))) < 1e-9
 
 
 class TestDenominator:
@@ -95,6 +133,53 @@ class TestDenominator:
             graph = build_denominator_graph(Z.shape[1], lm)
             logden, _ = denominator_forward_backward(graph, log_posteriors(Z))
             assert abs(logden - brute_force_crf_denominator(Z, lm)) < 1e-9
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_matches_brute_force_without_smoothing(self, order):
+        # add-0 estimates give unseen labels and transitions a weight of -inf,
+        # so the transition matrix holds zeros off the edges of the corpus
+        for _ in range(10):
+            Z, labels = _random_instance(RNG, t_max=3, n_max=3)
+            N = Z.shape[1]
+            corpus = [labels] + [[int(RNG.integers(1, N))] for _ in range(2)]
+            lm = train_phone_lm(corpus, order=order, smoothing=0.0, vocab=range(1, N))
+            check_against_brute_force(Z, lm)
+
+    def test_matches_brute_force_large_logits(self):
+        for order in (1, 2):
+            for _ in range(10):
+                Z, labels = _random_instance(RNG, t_max=3, n_max=3)
+                Z *= 15.0  # logits drawn at scale 30
+                N = Z.shape[1]
+                corpus = [[int(RNG.integers(1, N))] for _ in range(4)] + [labels]
+                lm = train_phone_lm(corpus, order=order, smoothing=0.5, vocab=range(1, N))
+                check_against_brute_force(Z, lm)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("smoothing", [0.0, 1.0])
+    def test_matches_edge_list_recursion_on_long_utterances(self, order, smoothing):
+        N, T = 8, 1000  # log denominator near -1400: exp of it underflows without a shift
+        corpus = [[int(u) for u in RNG.integers(1, N, size=RNG.integers(1, 6))] for _ in range(10)]
+        lm = train_phone_lm(corpus, order=order, smoothing=smoothing, vocab=range(1, N))
+        graph = build_denominator_graph(N, lm)
+        for scale in (2.0, 30.0):
+            logy = log_posteriors(RNG.normal(0.0, scale, size=(T, N)))
+            logden, counts = denominator_forward_backward(graph, logy)
+            ref_logden, ref_counts = edge_list_denominator(graph, logy)
+            assert abs(logden - ref_logden) < 1e-12 * abs(ref_logden)
+            assert np.max(np.abs(counts - ref_counts)) < 1e-9
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_trans_equals_edge_lists(self, order):
+        N = 6  # unit 5 is never seen
+        lm = train_phone_lm([[1, 2, 3], [4, 1], [2]], order=order, smoothing=0.0, vocab=range(1, N))
+        graph = build_denominator_graph(N, lm)
+        assert any(np.isneginf(w).any() for _, w in graph.incoming)  # add-0 leaves edges of weight 0
+        expected = np.zeros_like(graph.trans)
+        for j, (src, w) in enumerate(graph.incoming):
+            assert len(np.unique(src)) == len(src)  # no edge listed twice
+            expected[src, j] = np.exp(w)
+        assert np.array_equal(graph.trans, expected)
 
 
 class TestCrfLoss:
