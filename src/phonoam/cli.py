@@ -16,7 +16,7 @@ from .benchmark import BenchmarkConfig, HEAD_KINDS, run_seeds, write_report
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import SynthLanguageSpec, generate_language, load_corpus, make_emission_map, save_corpus
 from .encoder import EncoderConfig
-from .errors import PhonoamError
+from .errors import IoFailure, PhonoamError
 from .evaluate import evaluate, export_embeddings
 from .features import SpecialToken, encode_inventory, encode_phone, load_feature_table
 from .inventory import language_degree, load_inventory, merge_inventories, unseen_phones
@@ -31,9 +31,15 @@ def _write_manifest(out_path, subcommand: str, args: argparse.Namespace) -> None
         "seed": getattr(args, "seed", None),
         "version": __version__,
     }
-    path = str(out_path) + ".manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2, default=str)
+    _write_json(str(out_path) + ".manifest.json", manifest, default=str)
+
+
+def _write_json(path, doc, **options) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True, indent=2, **options)
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
 
 
 def cmd_encode(args) -> int:
@@ -46,17 +52,11 @@ def cmd_encode(args) -> int:
 def cmd_phoneset_build(args) -> int:
     invs = [load_inventory(p) for p in args.inventories]
     phone_set = merge_inventories(invs)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "units": list(phone_set.units),
-                "membership": {p: sorted(s) for p, s in phone_set.membership.items()},
-            },
-            fh,
-            ensure_ascii=False,
-            indent=2,
-            sort_keys=True,
-        )
+    doc = {
+        "units": list(phone_set.units),
+        "membership": {p: sorted(s) for p, s in phone_set.membership.items()},
+    }
+    _write_json(args.out, doc, ensure_ascii=False)
     _write_manifest(args.out, "phoneset build", args)
     return 0
 

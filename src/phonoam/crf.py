@@ -30,17 +30,22 @@ import numpy as np
 from .ctc import BLANK, CtcResult, check_feasible, ctc_label_counts
 from .errors import InfeasibleLength
 from .heads import log_posteriors
-from .lm import BOS, PhoneLM
+from .lm import PhoneLM
 
 
 @dataclass
 class DenominatorGraph:
     """State graph for the exact denominator forward-backward.
 
-    A state is (lm context, unit emitted at the current frame).  Transition
-    into (ctx', u) carries the LM weight of emitting u as a NEW label when u
-    is non-blank and differs from the previous frame's unit; blanks and
-    repeats carry no LM weight.
+    A state is (lm context row, unit emitted at the current frame): `states`
+    is an S x 2 array of these pairs.  A non-blank unit is the most recent
+    label, so in a bigram LM its state's context is the row after that unit;
+    blank states exist for every context.  From each state there is exactly
+    one edge into a state of each unit:
+      - a new label u, non-blank and unlike the previous frame's unit, with
+        the LM weight of emitting u from the source's context;
+      - a blank in the same context, weight 0;
+      - a repeat of the source's non-blank unit, weight 0.
 
     `trans[i, j]` is exp(log-weight of the edge i -> j), 0 where there is no
     edge; the forward-backward reads only this matrix.  `incoming` lists the
@@ -48,7 +53,7 @@ class DenominatorGraph:
     benchmark harness counts the graph's edges from it.
     """
 
-    states: list[tuple[tuple, int]]
+    states: np.ndarray  # S x 2: (context row, unit)
     trans: np.ndarray  # S x S edge weights, exp(log-weight) or 0
     # incoming[j] = (source state indices, transition log-weights)
     incoming: list[tuple[np.ndarray, np.ndarray]]
@@ -58,68 +63,34 @@ class DenominatorGraph:
 
 
 def build_denominator_graph(n_units: int, lm: PhoneLM | None) -> DenominatorGraph:
-    if lm is None:
-        contexts = [()]
-        start = ()
-        ctx_after = lambda ctx, u: ()
-        lm_weight = lambda ctx, u: 0.0
-        final = lambda ctx: 0.0
+    if lm is None:  # every label sequence weighs 1
+        order, log_next, log_cont, log_stop = 1, np.zeros((1, n_units)), np.zeros(1), np.zeros(1)
     else:
-        start = lm.start_context()
-        if lm.order == 1:
-            contexts = [()]
-        else:
-            contexts = [(BOS,)] + [(u,) for u in range(1, n_units)]
-        ctx_after = lm.context_after
-        lm_weight = lambda ctx, u: lm.log_cont(ctx) + lm.logp_next(u, ctx)
-        final = lm.log_stop
+        order, log_next, log_cont, log_stop = lm.order, lm.log_next, lm.log_cont, lm.log_stop
 
-    states: list[tuple[tuple, int]] = []
-    for ctx in contexts:
-        for u in range(n_units):
-            # a non-blank frame unit is always the most recent emitted label,
-            # so its context must be consistent with itself
-            if u != BLANK and lm is not None and lm.order == 2 and ctx != (u,):
-                continue
-            states.append((ctx, u))
-    state_index = {s: i for i, s in enumerate(states)}
-    S = len(states)
+    n_ctx = n_units if order == 2 else 1
+    ctx, unit = np.divmod(np.arange(n_ctx * n_units), n_units)
+    keep = (unit == BLANK) | (ctx == unit) | (order == 1)
+    states = np.stack([ctx, unit], axis=1)[keep]
+    c, u = states.T
 
-    init_logw = np.full(S, -np.inf)
-    blank_start = state_index[(start, BLANK)]
-    init_logw[blank_start] = 0.0
-    for u in range(1, n_units):
-        j = state_index[(ctx_after(start, u), u)]
-        init_logw[j] = np.logaddexp(init_logw[j], lm_weight(start, u))
+    # i -> j conditions, with the source i down the rows and the target j across
+    new = (u != BLANK) & (u != u[:, None])
+    blank = (u == BLANK) & (c == c[:, None])
+    repeat = (u != BLANK) & (u == u[:, None])
+    edge = new | blank | repeat
+    lm_weight = log_cont[c][:, None] + log_next[c[:, None], u]
+    logw = np.where(new, lm_weight, 0.0)
 
-    edges: list[list[tuple[int, float]]] = [[] for _ in range(S)]
-    for i, (ctx, v) in enumerate(states):
-        # stay on blank or repeat the same non-blank unit: no LM weight
-        edges[state_index[(ctx, BLANK)]].append((i, 0.0))
-        if v != BLANK:
-            edges[i].append((i, 0.0))
-        # emit a new label u != v
-        for u in range(1, n_units):
-            if u == v:
-                continue
-            j = state_index[(ctx_after(ctx, u), u)]
-            edges[j].append((i, lm_weight(ctx, u)))
-
-    incoming = []
-    trans = np.zeros((S, S))
-    for j in range(S):
-        src = np.array([e[0] for e in edges[j]], dtype=int)
-        w = np.array([e[1] for e in edges[j]])
-        incoming.append((src, w))
-        trans[src, j] = np.exp(w)
-
+    incoming = [(np.flatnonzero(edge[:, j]), logw[edge[:, j], j]) for j in range(len(states))]
     return DenominatorGraph(
         states=states,
-        trans=trans,
+        trans=np.where(edge, np.exp(logw), 0.0),
         incoming=incoming,
-        init_logw=init_logw,
-        final_logw=np.array([final(ctx) for ctx, _ in states]),
-        state_unit=np.array([u for _, u in states]),
+        # the first frame leaves the start context, row 0, by a blank or a label
+        init_logw=np.where(u == BLANK, np.where(c == 0, 0.0, -np.inf), log_cont[0] + log_next[0, u]),
+        final_logw=log_stop[c],
+        state_unit=u,
     )
 
 

@@ -110,12 +110,11 @@ def evaluate(
     """
     index = model.unit_index()
     check_covered(index, utterances)
+    inv = {i: u for u, i in index.items()}
     result = EvalResult()
     for utt in utterances:
-        ref_units = [index[p] for p in utt.phones]
         Z, _ = model_forward(model, utt.frames)
         hyp_units = greedy_decode(Z)
-        inv = {i: u for u, i in index.items()}
         hyp_phones = [inv[i] for i in hyp_units]
 
         ops = align(utt.phones, hyp_phones)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     DuplicatePhone,
+    IoFailure,
     MalformedRow,
     UnknownMark,
     UnknownPhone,
@@ -141,8 +142,12 @@ def parse_feature_table(text: str) -> FeatureTable:
 
 
 def load_feature_table(path) -> FeatureTable:
-    with open(path, encoding="utf-8") as fh:
-        return parse_feature_table(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoFailure(f"cannot read feature table {path}: {exc}") from exc
+    return parse_feature_table(text)
 
 
 def builtin_table() -> FeatureTable:

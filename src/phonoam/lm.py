@@ -10,6 +10,17 @@ conditionals p(. | h) are add-k estimates normalized over the unit vocabulary
 binomial per context.  Contexts never seen in training back off to the uniform
 distribution.  This makes p a proper distribution over variable-length label
 sequences, which the CRF denominator relies on.
+
+The model is held as tables indexed by context row and unit:
+
+    log_next[h, u]   log p(u | h), -inf for u off the vocab (blank, unit 0,
+                     is never in it); an unseen context's row is the uniform
+                     backoff over the vocab
+    log_cont[h]      log p_cont(h), log 0.5 for an unseen context
+    log_stop[h]      log p_stop(h), log 0.5 for an unseen context
+
+A unigram LM has the single row 0.  In a bigram LM row 0 is the start
+context and row u > 0 is the context after label u.
 """
 
 from __future__ import annotations
@@ -20,45 +31,29 @@ import numpy as np
 
 from .errors import EmptyCorpus
 
-BOS = -1  # sentinel context symbol
-
 
 @dataclass
 class PhoneLM:
     order: int
     vocab: tuple[int, ...]  # unit indices, blank excluded
-    next_logp: dict[tuple, dict[int, float]]
-    cont_logp: dict[tuple, tuple[float, float]]  # context -> (log cont, log stop)
-
-    def start_context(self) -> tuple:
-        return () if self.order == 1 else (BOS,)
-
-    def context_after(self, context: tuple, unit: int) -> tuple:
-        return () if self.order == 1 else (unit,)
-
-    def logp_next(self, unit: int, context: tuple) -> float:
-        if context in self.next_logp:
-            return self.next_logp[context][unit]
-        return -np.log(len(self.vocab))  # unseen context: uniform backoff
-
-    def log_cont(self, context: tuple) -> float:
-        if context in self.cont_logp:
-            return self.cont_logp[context][0]
-        return np.log(0.5)
-
-    def log_stop(self, context: tuple) -> float:
-        if context in self.cont_logp:
-            return self.cont_logp[context][1]
-        return np.log(0.5)
+    log_next: np.ndarray  # contexts x units
+    log_cont: np.ndarray  # per context
+    log_stop: np.ndarray  # per context
 
     def score(self, labels) -> float:
         """log p(l) including the end-of-sequence term."""
-        total = 0.0
-        ctx = self.start_context()
-        for lab in labels:
-            total += self.log_cont(ctx) + self.logp_next(lab, ctx)
-            ctx = self.context_after(ctx, lab)
-        return total + self.log_stop(ctx)
+        labels = np.asarray(labels, dtype=int)
+        ctx = _context_rows(self.order, labels)
+        steps = self.log_cont[ctx[:-1]] + self.log_next[ctx[:-1], labels]
+        # a running sum adds the terms in sequence order, as the factorization reads
+        return float(np.cumsum(np.append(steps, self.log_stop[ctx[-1]]))[-1])
+
+
+def _context_rows(order: int, labels: np.ndarray) -> np.ndarray:
+    """Context row before each label and, last, the row the sequence stops in."""
+    if order == 1:
+        return np.zeros(len(labels) + 1, dtype=int)
+    return np.concatenate(([0], labels))
 
 
 def train_phone_lm(
@@ -82,35 +77,25 @@ def train_phone_lm(
     vocab = tuple(vocab)
     V = len(vocab)
 
-    next_counts: dict[tuple, dict[int, int]] = {}
-    cont_counts: dict[tuple, list[int]] = {}  # [continue, stop]
-    start = () if order == 1 else (BOS,)
-    for seq in sequences:
-        ctx = start
-        for lab in seq:
-            next_counts.setdefault(ctx, {}).setdefault(lab, 0)
-            next_counts[ctx][lab] += 1
-            cont_counts.setdefault(ctx, [0, 0])[0] += 1
-            ctx = () if order == 1 else (lab,)
-        cont_counts.setdefault(ctx, [0, 0])[1] += 1
+    labels = np.array([lab for s in sequences for lab in s], dtype=int)
+    U = 1 + max(max(vocab), labels.max())
+    C = U if order == 2 else 1
+    ctx = np.concatenate([_context_rows(order, np.asarray(s, dtype=int)) for s in sequences])
+    last = np.cumsum([len(s) + 1 for s in sequences]) - 1  # where each sequence stops
+    prev = np.delete(ctx, last)
+    counts = np.bincount(prev * U + labels, minlength=C * U).reshape(C, U).astype(float)
+    n_cont = counts.sum(axis=1)
+    n_stop = np.bincount(ctx[last], minlength=C)
 
-    next_logp: dict[tuple, dict[int, float]] = {}
-    for ctx, counts in next_counts.items():
-        total = sum(counts.values())
-        denom = total + k * V
-        next_logp[ctx] = {
-            u: np.log((counts.get(u, 0) + k) / denom) if counts.get(u, 0) + k > 0
-            else -np.inf
-            for u in vocab
-        }
-
-    cont_logp: dict[tuple, tuple[float, float]] = {}
-    for ctx, (n_cont, n_stop) in cont_counts.items():
+    in_vocab = np.zeros(U, dtype=bool)
+    in_vocab[list(vocab)] = True
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_next = np.log((counts + k) / (n_cont + k * V)[:, None])
         denom = n_cont + n_stop + 2 * k
-        with np.errstate(divide="ignore"):
-            cont_logp[ctx] = (
-                float(np.log((n_cont + k) / denom)),
-                float(np.log((n_stop + k) / denom)),
-            )
-
-    return PhoneLM(order=order, vocab=vocab, next_logp=next_logp, cont_logp=cont_logp)
+        log_cont = np.log((n_cont + k) / denom)
+        log_stop = np.log((n_stop + k) / denom)
+    log_next[n_cont == 0] = -np.log(V)  # unseen context: uniform backoff
+    log_next[:, ~in_vocab] = -np.inf
+    seen = n_cont + n_stop > 0
+    log_cont[~seen] = log_stop[~seen] = np.log(0.5)
+    return PhoneLM(order=order, vocab=vocab, log_next=log_next, log_cont=log_cont, log_stop=log_stop)

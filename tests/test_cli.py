@@ -54,6 +54,23 @@ def test_encode_unknown_phone_exits_2(workdir, capsys):
     assert capsys.readouterr().err == "error: phone 'zz' is not in the feature table\n"
 
 
+@pytest.mark.parametrize("case", ["missing", "not_utf8"])
+def test_encode_unreadable_feature_table_exits_2(case, workdir, capsys):
+    path = workdir / f"{case}.tsv"
+    if case == "not_utf8":
+        path.write_bytes((workdir / "features.tsv").read_bytes() + "\u00e9\n".encode("latin-1"))
+    code = main(["encode", "--features", str(path), "--phone", "d"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read feature table {path}")
+
+
+def test_phoneset_build_unwritable_out_exits_2(workdir, capsys):
+    out_path = workdir / "no_such_dir" / "phoneset.json"
+    code = main(["phoneset", "build", "--inventories", str(workdir / "L1.json"), "--out", str(out_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_usage_error_exits_1(capsys):
     assert main(["no-such-command"]) == 1
     assert main([]) == 1

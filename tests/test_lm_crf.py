@@ -21,29 +21,33 @@ RNG = np.random.default_rng(31)
 class TestPhoneLM:
     def test_unigram_counting(self):
         lm = train_phone_lm([[1], [1], [2]], order=1, smoothing=0.0)
-        assert np.isclose(np.exp(lm.logp_next(1, ())), 2 / 3, atol=1e-12)
+        assert np.isclose(np.exp(lm.log_next[0, 1]), 2 / 3, atol=1e-12)
 
     def test_bigram_add_k(self):
         lm = train_phone_lm([[1, 2]], order=2, smoothing=1.0, vocab=[1, 2])
-        assert np.isclose(np.exp(lm.logp_next(2, (1,))), (1 + 1) / (1 + 2))
+        assert np.isclose(np.exp(lm.log_next[1, 2]), (1 + 1) / (1 + 2))
 
     def test_conditionals_normalized(self):
+        # every row, the backoff rows of contexts never seen included
         seqs = [[int(x) for x in RNG.integers(1, 5, size=RNG.integers(1, 6))] for _ in range(20)]
         for order in (1, 2):
             for k in (0.0, 0.5, 1.0):
                 lm = train_phone_lm(seqs, order=order, smoothing=k)
-                for ctx in lm.next_logp:
-                    total = sum(np.exp(lm.logp_next(u, ctx)) for u in lm.vocab)
-                    assert abs(total - 1.0) < 1e-10, (order, k, ctx)
+                assert lm.log_next.shape == (5 if order == 2 else 1, 5)
+                assert np.isneginf(lm.log_next[:, 0]).all()  # blank is never a label
+                total = np.exp(lm.log_next).sum(axis=1)
+                assert np.all(np.abs(total - 1.0) < 1e-10), (order, k, total)
 
     def test_continue_stop_normalized(self):
-        lm = train_phone_lm([[1, 2], [2]], order=1, smoothing=1.0)
-        for ctx in lm.cont_logp:
-            assert abs(np.exp(lm.log_cont(ctx)) + np.exp(lm.log_stop(ctx)) - 1) < 1e-12
+        for order in (1, 2):
+            lm = train_phone_lm([[1, 2], [2]], order=order, smoothing=1.0)
+            total = np.exp(lm.log_cont) + np.exp(lm.log_stop)
+            assert np.all(np.abs(total - 1) < 1e-12), (order, total)
 
     def test_unseen_context_uniform_backoff(self):
         lm = train_phone_lm([[1, 2]], order=2, smoothing=1.0, vocab=[1, 2, 3])
-        assert np.isclose(np.exp(lm.logp_next(3, (3,))), 1 / 3)
+        assert np.allclose(np.exp(lm.log_next[3, 1:]), 1 / 3)
+        assert np.isclose(np.exp(lm.log_cont[3]), 0.5) and np.isclose(np.exp(lm.log_stop[3]), 0.5)
 
     def test_negative_smoothing_rejected(self):
         with pytest.raises(ValueError, match="smoothing"):
@@ -63,6 +67,16 @@ class TestPhoneLM:
             for seq in itertools.product(lm.vocab, repeat=L):
                 total += float(np.exp(lm.score(seq)))
         assert 0.97 < total <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_score_reads_the_tables_label_by_label(self, order):
+        lm = train_phone_lm([[1, 2, 2], [3], [2, 1]], order=order, smoothing=0.5, vocab=range(1, 5))
+        for labels in ([], [4], [1, 2, 2, 3, 1], [3, 3, 4, 1]):
+            total, ctx = 0.0, 0
+            for lab in labels:
+                total += lm.log_cont[ctx] + lm.log_next[ctx, lab]
+                ctx = lab if order == 2 else 0
+            assert lm.score(labels) == total + lm.log_stop[ctx]
 
 
 class TestReduction:
@@ -111,35 +125,32 @@ def check_against_brute_force(Z, lm):
     )
     assert abs(logden - brute_force_crf_denominator(Z, lm)) < 1e-9
     assert np.max(np.abs(counts - brute_force_occupancy(Z, lm))) < 1e-9
+    return counts
 
 
 class TestDenominator:
     def test_matches_brute_force_bigram(self):
         for _ in range(15):
-            Z, labels = _random_instance(RNG, t_max=3, n_max=3)
+            Z, labels = _random_instance(RNG, t_max=3, n_max=5)
             N = Z.shape[1]
             corpus = [[int(RNG.integers(1, N))] for _ in range(4)] + [labels]
             lm = train_phone_lm(corpus, order=2, smoothing=0.7, vocab=range(1, N))
-            graph = build_denominator_graph(N, lm)
-            logden, counts = denominator_forward_backward(graph, log_posteriors(Z))
-            assert abs(logden - brute_force_crf_denominator(Z, lm)) < 1e-9
+            counts = check_against_brute_force(Z, lm)
             # occupancies sum to one per frame
             assert np.allclose(counts.sum(axis=1), 1.0, atol=1e-10)
 
     def test_matches_brute_force_unigram(self):
         for _ in range(10):
-            Z, labels = _random_instance(RNG, t_max=3, n_max=3)
+            Z, labels = _random_instance(RNG, t_max=3, n_max=5)
             lm = train_phone_lm([labels], order=1, smoothing=1.0, vocab=range(1, Z.shape[1]))
-            graph = build_denominator_graph(Z.shape[1], lm)
-            logden, _ = denominator_forward_backward(graph, log_posteriors(Z))
-            assert abs(logden - brute_force_crf_denominator(Z, lm)) < 1e-9
+            check_against_brute_force(Z, lm)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_matches_brute_force_without_smoothing(self, order):
         # add-0 estimates give unseen labels and transitions a weight of -inf,
         # so the transition matrix holds zeros off the edges of the corpus
         for _ in range(10):
-            Z, labels = _random_instance(RNG, t_max=3, n_max=3)
+            Z, labels = _random_instance(RNG, t_max=3, n_max=5)
             N = Z.shape[1]
             corpus = [labels] + [[int(RNG.integers(1, N))] for _ in range(2)]
             lm = train_phone_lm(corpus, order=order, smoothing=0.0, vocab=range(1, N))
@@ -148,7 +159,7 @@ class TestDenominator:
     def test_matches_brute_force_large_logits(self):
         for order in (1, 2):
             for _ in range(10):
-                Z, labels = _random_instance(RNG, t_max=3, n_max=3)
+                Z, labels = _random_instance(RNG, t_max=3, n_max=5)
                 Z *= 15.0  # logits drawn at scale 30
                 N = Z.shape[1]
                 corpus = [[int(RNG.integers(1, N))] for _ in range(4)] + [labels]
@@ -180,6 +191,22 @@ class TestDenominator:
             assert len(np.unique(src)) == len(src)  # no edge listed twice
             expected[src, j] = np.exp(w)
         assert np.array_equal(graph.trans, expected)
+
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_one_edge_into_a_state_of_each_unit(self, order):
+        for N in (2, 5, 69):
+            lm = train_phone_lm([list(range(1, N))], order=order, smoothing=0.0, vocab=range(1, N))
+            graph = build_denominator_graph(N, lm)
+            S = len(graph.states)
+            assert S == (2 * N - 1 if order == 2 else N)
+            edges = np.zeros((S, S), dtype=int)
+            for j, (src, _) in enumerate(graph.incoming):
+                edges[src, j] += 1
+            per_unit = edges @ (graph.state_unit[:, None] == np.arange(N))
+            assert np.array_equal(per_unit, np.ones((S, N)))
+            assert edges.sum() == S * N
+        assert order == 1 or edges.sum() == 9453  # N = 69 bigram
 
 
 class TestCrfLoss:
