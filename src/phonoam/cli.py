@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import __version__
-from .benchmark import BenchmarkConfig, HEAD_KINDS, run_seeds, write_report
+from .benchmark import BenchmarkConfig, HEAD_KINDS, median_per, run_seeds, write_report
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import SynthLanguageSpec, generate_language, load_corpus, make_emission_map, save_corpus
 from .encoder import EncoderConfig
@@ -191,6 +191,13 @@ def cmd_bench(args) -> int:
     _write_manifest(args.out, f"bench {args.mode}", args)
     for rec in records:
         print(json.dumps(rec, sort_keys=True))
+    if args.summary:
+        print(f"\nmedian over {args.seeds} seed(s)")
+        print(f"{'head':<12}{'condition':<14}{'PER':>8}{'seen':>8}{'unseen':>8}")
+        for head in heads:
+            for cond in conditions:
+                pers = [median_per(records, head, cond, key=k) for k in ("per", "seen_per", "unseen_per")]
+                print(f"{head:<12}{cond:<14}" + "".join(f"{p:>8.3f}" for p in pers))
     return 0
 
 
@@ -294,6 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seeds", type=int, default=1)
     p.add_argument("--deterministic", action="store_true", help=DETERMINISTIC_HELP)
+    p.add_argument("--summary", action="store_true",
+                   help="after the records, print median PER, seen and unseen PER per head and condition")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench)
 

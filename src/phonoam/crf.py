@@ -19,6 +19,11 @@ of the backward pass is one matrix-vector product in the log domain, shifted
 by the frame's maximum: only the loop over frames is left in Python.  The
 per-state edge lists the graph also keeps are read only by the benchmark
 harness, which counts the graph's edges from them.
+
+The numerator keeps CTC's exact logaddexp lattice: the shift flushes states
+over ~745 nats below the frame's best to zero, and in a label lattice such a
+state may be the only one still able to reach the last label (at logit scale
+400, a shifted product got about half of random lattices wrong).
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Exact log-domain CTC: collapse map, forward-backward loss and gradients.
 
 The blank unit is fixed at index 0.  All lattice arithmetic is carried out in
-the natural-log domain with log-sum-exp; there is no probability-domain
-fallback.  The gradient returned is with respect to the raw logits, i.e. the
-softmax Jacobian is already folded in (each row of dZ sums to zero).
+the natural-log domain with pairwise logaddexp; there is no probability-domain
+fallback.  The forward and backward recursions run as the two rows of one
+loop over frames.  The gradient returned is with respect to the raw logits,
+i.e. the softmax Jacobian is already folded in (each row of dZ sums to zero).
 """
 
 from __future__ import annotations
@@ -42,14 +43,6 @@ def collapse(path, blank: int = BLANK) -> list[int]:
     return out
 
 
-def _augment(labels) -> list[int]:
-    """Blank-augmented state sequence: blk l1 blk l2 ... lL blk (2L+1 states)."""
-    aug = [BLANK]
-    for lab in labels:
-        aug.extend([lab, BLANK])
-    return aug
-
-
 def check_feasible(T: int, labels) -> None:
     repeats = sum(1 for a, b in zip(labels, labels[1:]) if a == b)
     needed = len(labels) + repeats
@@ -83,53 +76,44 @@ def ctc_loss(Z: np.ndarray, labels) -> CtcResult:
 def ctc_label_counts(logy: np.ndarray, labels):
     """(log p(l|x), expected per-frame unit counts over paths in B^-1(l)).
 
-    Shared by the CTC loss and the CTC-CRF numerator.
+    Shared by the CTC loss and the CTC-CRF numerator; labels are non-empty.
+    The lattice is blk l1 blk ... lL blk.  Row 0 runs it forward; row 1 runs
+    it with states and frames reversed, which is the backward pass.  Each
+    frame is one stay/advance/skip step for both rows.
     """
     T, N = logy.shape
-    aug = _augment(labels)
-    S = len(aug)
-    aug_arr = np.array(aug)
+    S = 2 * len(labels) + 1
+    aug = np.full(S, BLANK)
+    aug[1::2] = labels
+    emit = logy[:, aug]
+    em = np.stack([emit, emit[::-1, ::-1]], axis=1)
 
-    # skip from s-2 allowed when state s is a label differing from state s-2
-    can_skip = np.zeros(S, dtype=bool)
-    for s in range(2, S):
-        can_skip[s] = aug[s] != BLANK and aug[s] != aug[s - 2]
+    # skip from s-2 into a label allowed when it differs from the label before
+    skip = np.full((2, S), -np.inf)
+    skip[0, 3::2] = np.where(aug[3::2] != aug[1:-2:2], 0.0, -np.inf)
+    skip[1, 3::2] = skip[0, 3::2][::-1]
 
-    neg = -np.inf
-    la = np.full((T, S), neg)
-    la[0, 0] = logy[0, aug[0]]
-    if S > 1:
-        la[0, 1] = logy[0, aug[1]]
+    # pre[t]: each row's value before frame t's emission (beta excludes it)
+    pre = np.full((T, 2, S), -np.inf)
+    pre[0, :, :2] = 0.0
+    buf = np.full((2, S + 2), -np.inf)  # two -inf columns ahead of the states
+    stay, move, jump = buf[:, 2:], buf[:, 1:-1], buf[:, :-2]
+    np.add(pre[0], em[0], out=stay)
     for t in range(1, T):
-        prev = la[t - 1]
-        stay = prev
-        move = np.concatenate([[neg], prev[:-1]])
-        skip = np.concatenate([[neg, neg], prev[:-2]])
-        skip = np.where(can_skip, skip, neg)
-        la[t] = np.logaddexp(np.logaddexp(stay, move), skip) + logy[t, aug_arr]
+        p = pre[t]
+        np.logaddexp(stay, move, out=p)
+        np.logaddexp(p, jump + skip, out=p)
+        np.add(p, em[t], out=stay)
 
-    loglik = np.logaddexp(la[T - 1, S - 1], la[T - 1, S - 2] if S > 1 else neg)
-
-    # beta excludes the emission at its own frame
-    lb = np.full((T, S), neg)
-    lb[T - 1, S - 1] = 0.0
-    if S > 1:
-        lb[T - 1, S - 2] = 0.0
-    for t in range(T - 2, -1, -1):
-        nxt = lb[t + 1] + logy[t + 1, aug_arr]
-        stay = nxt
-        move = np.concatenate([nxt[1:], [neg]])
-        skip_target = np.concatenate([nxt[2:], [neg, neg]])
-        skip_ok = np.concatenate([can_skip[2:], [False, False]])
-        skip = np.where(skip_ok, skip_target, neg)
-        lb[t] = np.logaddexp(np.logaddexp(stay, move), skip)
+    la = pre[:, 0] + emit
+    lb = pre[::-1, 1, ::-1]
+    loglik = np.logaddexp(la[T - 1, S - 1], la[T - 1, S - 2])
 
     # state occupancies -> expected unit counts per frame
     with np.errstate(invalid="ignore"):
         gamma = np.exp(la + lb - loglik)
     counts = np.zeros((T, N))
-    for s in range(S):
-        counts[:, aug[s]] += gamma[:, s]
+    np.add.at(counts.T, aug, gamma.T)
     return loglik, counts
 
 

@@ -49,12 +49,9 @@ def head_kind(head: Head) -> str:
 
 def sigmoid(x):
     """Logistic function, evaluated so that no exp overflows."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    ex = np.exp(-np.abs(x))
+    denom = 1.0 + ex
+    return np.where(x >= 0, 1.0 / denom, ex / denom)
 
 
 def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

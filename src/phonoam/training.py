@@ -2,7 +2,8 @@
 
 The schedule starts at the configured rate (default 1e-3) and divides by 10
 whenever the dev loss stops improving by more than MIN_DELTA for PATIENCE
-epochs, stopping once the rate drops below LR_FLOOR (1e-5).
+epochs, stopping once the rate drops below LR_FLOOR (1e-5).  An epoch whose
+dev loss is NaN (every dev utterance infeasible) leaves the schedule as is.
 """
 
 from __future__ import annotations
@@ -208,6 +209,8 @@ def train(
         report.dev_per.append(_dev_per(model, dev_eval, index))
         report.lr.append(lr)
 
+        if math.isnan(dev):
+            continue  # no dev utterance is feasible: nothing to judge a plateau by
         if dev < best_dev - MIN_DELTA:
             best_dev = dev
             stale = 0

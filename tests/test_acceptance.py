@@ -2,15 +2,17 @@
 
 Each test prints a single summary line on success so a `pytest -s` run reads
 as a checklist.  Criteria 6 and 7 share one multi-seed benchmark run via a
-session-scoped fixture because the benchmark dominates the runtime budget.
+session-scoped fixture because the benchmark dominates the runtime budget;
+the same records are also checked against a committed golden file.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phonoam.benchmark import BenchmarkConfig, median_per, run_seeds
+from phonoam.benchmark import BenchmarkConfig, median_per, run_seeds, write_report
 from phonoam.cli import main
 from phonoam.crf import crf_loss, denominator_forward_backward, build_denominator_graph
 from phonoam.ctc import ctc_loss
@@ -144,6 +146,17 @@ def test_criterion_5_end_to_end_gradient_chain():
 def benchmark_records():
     config = BenchmarkConfig()
     return run_seeds(config, range(5), conditions=("zero_shot", "few_shot"))
+
+
+# write_report of the benchmark_records fixture; regenerate it only for a
+# change that is meant to move the benchmark's PERs
+GOLDEN_RECORDS = Path(__file__).with_name("golden_benchmark_records.jsonl")
+
+
+def test_benchmark_records_match_golden_file(benchmark_records, tmp_path):
+    out = tmp_path / "records.jsonl"
+    write_report(benchmark_records, out)
+    assert out.read_bytes() == GOLDEN_RECORDS.read_bytes()
 
 
 def test_criterion_6_zero_shot_ordering(benchmark_records):

@@ -315,6 +315,34 @@ def test_export_embeddings(trained, workdir, capsys):
     assert lines[0].startswith("<blk>,")
 
 
+BENCH_RECORDS = [
+    {"method": head, "condition": cond, "per": per, "seen_per": per / 2, "unseen_per": per * 2}
+    for head, cond, pers in [
+        ("flat", "zero_shot", (0.6, 0.5, 0.7)),
+        ("flat", "few_shot", (0.4, 0.45, 0.5)),
+        ("linear", "zero_shot", (0.3, 0.25, 0.2)),
+        ("linear", "few_shot", (0.1, 0.15, 0.3)),
+    ]
+    for per in pers
+]
+
+
+@pytest.mark.parametrize("summary", [False, True])
+def test_bench_summary_prints_median_table(summary, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("phonoam.cli.run_seeds", lambda *args, **kwargs: BENCH_RECORDS)
+    argv = ["bench", "few-shot", "--head", "flat", "--seeds", "3", "--out", str(tmp_path / "r.jsonl")]
+    code, out = run(capsys, *argv, *(["--summary"] if summary else []))
+    assert code == 0
+    records = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in BENCH_RECORDS)
+    table = (
+        "\nmedian over 3 seed(s)\n"
+        "head        condition          PER    seen  unseen\n"
+        "flat        zero_shot        0.600   0.300   1.200\n"
+        "flat        few_shot         0.450   0.225   0.900\n"
+    )
+    assert out == records + (table if summary else "")
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     assert "FAIL" not in capsys.readouterr().out

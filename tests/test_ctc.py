@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from phonoam.ctc import collapse, ctc_loss, greedy_decode, _collapse
+from phonoam.ctc import BLANK, collapse, ctc_label_counts, ctc_loss, greedy_decode, _collapse
 from phonoam.errors import EmptyResult, InfeasibleLength, NonFiniteInput
+from phonoam.heads import log_posteriors
 from phonoam.selftest import brute_force_ctc, finite_difference, max_rel_err
 
 RNG = np.random.default_rng(23)
@@ -95,6 +96,104 @@ class TestLoss:
             res = ctc_loss(Z, [2, 1])
             assert 0 < np.exp(-res.nll) <= 1
             assert res.nll >= 0
+
+
+def reference_label_counts(logy, labels):
+    """Separate forward and backward recursions over the blank-augmented
+    lattice, one state row per frame: the kernel's bit-for-bit oracle."""
+    T, N = logy.shape
+    aug = [BLANK]
+    for lab in labels:
+        aug.extend([lab, BLANK])
+    S = len(aug)
+    aug_arr = np.array(aug)
+
+    can_skip = np.zeros(S, dtype=bool)
+    for s in range(2, S):
+        can_skip[s] = aug[s] != BLANK and aug[s] != aug[s - 2]
+
+    neg = -np.inf
+    la = np.full((T, S), neg)
+    la[0, 0] = logy[0, aug[0]]
+    la[0, 1] = logy[0, aug[1]]
+    for t in range(1, T):
+        prev = la[t - 1]
+        move = np.concatenate([[neg], prev[:-1]])
+        skip = np.where(can_skip, np.concatenate([[neg, neg], prev[:-2]]), neg)
+        la[t] = np.logaddexp(np.logaddexp(prev, move), skip) + logy[t, aug_arr]
+
+    loglik = np.logaddexp(la[T - 1, S - 1], la[T - 1, S - 2])
+
+    lb = np.full((T, S), neg)
+    lb[T - 1, S - 1] = 0.0
+    lb[T - 1, S - 2] = 0.0
+    for t in range(T - 2, -1, -1):
+        nxt = lb[t + 1] + logy[t + 1, aug_arr]
+        move = np.concatenate([nxt[1:], [neg]])
+        skip_ok = np.concatenate([can_skip[2:], [False, False]])
+        skip = np.where(skip_ok, np.concatenate([nxt[2:], [neg, neg]]), neg)
+        lb[t] = np.logaddexp(np.logaddexp(nxt, move), skip)
+
+    with np.errstate(invalid="ignore"):
+        gamma = np.exp(la + lb - loglik)
+    counts = np.zeros((T, N))
+    for s in range(S):
+        counts[:, aug[s]] += gamma[:, s]
+    return loglik, counts
+
+
+def tight_length(labels):
+    """The fewest frames that realize the labels: one more per repeat."""
+    return len(labels) + sum(a == b for a, b in zip(labels, labels[1:]))
+
+
+class TestLabelCountsMatchReference:
+    """The two-row kernel is bit-for-bit the separate recursions."""
+
+    def assert_same(self, Z, labels):
+        logy = log_posteriors(Z)
+        loglik, counts = ctc_label_counts(logy, labels)
+        ref_loglik, ref_counts = reference_label_counts(logy, labels)
+        assert loglik == ref_loglik
+        assert np.array_equal(counts, ref_counts)
+
+    @pytest.mark.parametrize("scale", [0.5, 3.0, 30.0, 400.0])
+    def test_random_lattices(self, scale):
+        rng = np.random.default_rng(int(scale * 10))
+        for _ in range(60):
+            N = int(rng.integers(2, 70))
+            L = int(rng.integers(1, 7))
+            labels = [int(rng.integers(1, N)) for _ in range(L)]
+            T = tight_length(labels) + int(rng.integers(0, 20))
+            self.assert_same(rng.normal(0, scale, size=(T, N)), labels)
+
+    @pytest.mark.parametrize("scale", [0.5, 30.0, 400.0])
+    @pytest.mark.parametrize(
+        "labels",
+        [[1], [2, 2], [1, 1, 1], [3, 1, 3], [1, 2, 2, 3, 3, 3], [4, 4, 1, 4, 4]],
+    )
+    def test_tight_length_and_repeats(self, labels, scale):
+        rng = np.random.default_rng(len(labels))
+        T = tight_length(labels)
+        self.assert_same(rng.normal(0, scale, size=(T, 5)), labels)
+
+    @pytest.mark.parametrize("N", [2, 3, 69])
+    def test_one_frame(self, N):
+        self.assert_same(RNG.normal(0, 3, size=(1, N)), [N - 1])
+
+    @pytest.mark.parametrize("scale", [0.5, 30.0, 400.0])
+    def test_thousand_frames(self, scale):
+        rng = np.random.default_rng(1000)
+        labels = [int(rng.integers(1, 20)) for _ in range(40)]
+        self.assert_same(rng.normal(0, scale, size=(1000, 20)), labels)
+
+    def test_occupancies_sum_to_one_at_large_logits(self):
+        # every frame of every path sits in one state, even 400 nats apart
+        rng = np.random.default_rng(400)
+        logy = log_posteriors(rng.normal(0, 400, size=(30, 4)))
+        loglik, counts = ctc_label_counts(logy, [1, 2, 3, 2, 1])
+        assert np.isfinite(loglik)
+        assert np.allclose(counts.sum(axis=1), 1.0)
 
 
 class TestGreedyDecode:

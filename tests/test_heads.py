@@ -13,6 +13,7 @@ from phonoam.heads import (
     make_linear_head,
     make_nonlinear_head,
     posteriors,
+    sigmoid,
 )
 
 RNG = np.random.default_rng(7)
@@ -63,6 +64,38 @@ class TestComputeEmbeddings:
         perm = RNG.permutation(7)
         E = compute_embeddings(head, P)
         assert np.allclose(compute_embeddings(head, P[perm]), E[perm])
+
+
+def masked_sigmoid(x):
+    """The logistic function as two masked halves: sigmoid's bitwise oracle."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    def test_matches_masked_formula(self):
+        rng = np.random.default_rng(11)
+        x = np.concatenate([
+            rng.normal(0, 1, size=500),
+            rng.normal(0, 40, size=500),
+            rng.uniform(-1e4, 1e4, size=500),
+            [0.0, -0.0, 1e4, -1e4, 709.0, -709.0, 746.0, -746.0, np.inf, -np.inf],
+        ]).reshape(-1, 10)
+        with np.errstate(over="raise"):
+            out = sigmoid(x)
+        assert np.array_equal(out, masked_sigmoid(x))
+        assert out.shape == x.shape and out.dtype == x.dtype
+
+    def test_signed_zero_inf_and_nan(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        with np.errstate(over="raise"):
+            out = sigmoid(x)
+        assert np.array_equal(out, [0.5, 0.5, 1.0, 0.0, np.nan], equal_nan=True)
+        assert np.array_equal(out, masked_sigmoid(x), equal_nan=True)
 
 
 class TestLogits:

@@ -138,6 +138,17 @@ class TestTrain:
         # monotone non-increasing
         assert all(b <= a + 1e-15 for a, b in zip(lrs, lrs[1:]))
 
+    def test_nan_dev_loss_leaves_schedule_alone(self):
+        # with no feasible dev utterance every dev loss is NaN: no epoch is a
+        # plateau, so the rate is never cut and training runs every epoch
+        model, utts = make_setup()
+        short = Utterance(frames=np.zeros((1, D)), phones=utts[0].phones[:2] * 2, language_id="L1")
+        cfg = TrainConfig(max_epochs=8)
+        report = train(model, utts[:8], [short], cfg)
+        assert all(np.isnan(d) for d in report.dev_loss)
+        assert report.lr == [cfg.lr] * (cfg.max_epochs + 1)
+        assert len(report.train_loss) == cfg.max_epochs
+
     def test_overfits_single_utterance(self, monkeypatch):
         monkeypatch.setattr(training, "PATIENCE", 50)
         monkeypatch.setattr(training, "MIN_DELTA", 0.0)
