@@ -52,7 +52,10 @@ def _read(path) -> tuple[dict, dict[str, np.ndarray]]:
             with np.load(fh, allow_pickle=False) as data:
                 arrays = {k: data[k] for k in data.files}
         meta = json.loads(bytes(arrays.pop("meta")).decode())
-    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, zlib.error) as exc:
+    # zipfile raises NotImplementedError for a member that needs a newer zip version
+    # or strong encryption, RuntimeError for one that needs a password
+    except (OSError, EOFError, ValueError, KeyError, NotImplementedError, RuntimeError,
+            zipfile.BadZipFile, zlib.error) as exc:
         raise IoFailure(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(meta, dict):
         raise IoFailure(f"checkpoint {path} metadata is not a JSON object")

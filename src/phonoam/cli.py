@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import __version__
 from .benchmark import BenchmarkConfig, HEAD_KINDS, median_per, run_seeds, write_report
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -24,12 +26,14 @@ from .model import build_model, extend_model
 from .training import TrainConfig, finetune, train_multilingual
 
 
-def _write_manifest(out_path, subcommand: str, args: argparse.Namespace) -> None:
+def _write_manifest(out_path, subcommand: str, args: argparse.Namespace, **recorded) -> None:
     manifest = {
         "subcommand": subcommand,
         "config": {k: v for k, v in vars(args).items() if k != "func" and not callable(v)},
         "seed": getattr(args, "seed", None),
         "version": __version__,
+        "numpy": np.__version__,
+        **recorded,
     }
     _write_json(str(out_path) + ".manifest.json", manifest, default=str)
 
@@ -127,7 +131,7 @@ def cmd_train(args) -> int:
                         head_hidden=args.head_hidden)
     report = train_multilingual(corpora, model, _train_config(args))
     save_checkpoint(model, args.out, epoch=len(report.train_loss))
-    _write_manifest(args.out, "train", args)
+    _write_manifest(args.out, "train", args, params_checksum=report.final_checksum)
     for e, (tr, dv, lr) in enumerate(zip(report.train_loss, report.dev_loss[1:], report.lr[1:])):
         print(f"epoch {e}: train {tr:.4f} dev {dv:.4f} lr {lr:g}")
     return 0
@@ -155,7 +159,7 @@ def cmd_finetune(args) -> int:
     utts = [u for path in args.corpus for u in load_corpus(path)]
     report = finetune(model, utts, _train_config(args))
     save_checkpoint(model, args.out, epoch=meta.get("epoch", 0) + len(report.train_loss))
-    _write_manifest(args.out, "finetune", args)
+    _write_manifest(args.out, "finetune", args, params_checksum=report.final_checksum)
     return 0
 
 

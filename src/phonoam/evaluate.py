@@ -1,4 +1,11 @@
-"""Greedy decoding, phone error rate scoring and embedding export."""
+"""Greedy decoding, phone error rate scoring and embedding export.
+
+Scoring aligns each reference with its decoded phones by Levenshtein distance
+(Wagner & Fischer, 1974).  `align` fills the table one reference phone at a
+time, each row a few NumPy operations on the row above, and backtraces with
+the same tie order as the cell-by-cell recurrence: diagonal, then deletion,
+then insertion.
+"""
 
 from __future__ import annotations
 
@@ -15,45 +22,38 @@ from .heads import compute_embeddings
 from .model import AcousticModel, model_forward
 
 
-def edit_distance(ref, hyp) -> tuple[int, int, int]:
-    """Minimal (substitutions, insertions, deletions) aligning hyp to ref.
-
-    Unit costs; ties prefer a substitution over an insertion + deletion.
-    """
-    ops = align(ref, hyp)
-    s = sum(1 for op, _, _ in ops if op == "sub")
-    i = sum(1 for op, _, _ in ops if op == "ins")
-    d = sum(1 for op, _, _ in ops if op == "del")
-    return s, i, d
-
-
 def align(ref, hyp) -> list[tuple[str, int | None, int | None]]:
     """Levenshtein alignment as (op, ref_pos, hyp_pos) tuples.
 
     op is one of match/sub/ins/del; ins has ref_pos None, del has hyp_pos
-    None.  Backtrace prefers diagonal moves so equal-cost alignments use
-    substitutions rather than insertion + deletion pairs.
+    None.  gain[i][j] is i + j minus the edit distance of ref[:i] and
+    hyp[:j]: what aligning them saves against deleting all i phones and
+    inserting all j, 2 per match and 1 per substitution.  Row i comes from row
+    i - 1 in a few NumPy operations: the diagonal and deletion moves
+    elementwise, then a running maximum along the row for the insertions.  The
+    arithmetic is exact integer, so the table is the cell-by-cell recurrence's.
+    The backtrace prefers diagonal moves, then deletions, then insertions, so
+    equal-cost alignments use substitutions rather than insertion + deletion
+    pairs.
     """
     ref, hyp = list(ref), list(hyp)
     n, m = len(ref), len(hyp)
-    dist = np.zeros((n + 1, m + 1), dtype=int)
-    dist[:, 0] = np.arange(n + 1)
-    dist[0, :] = np.arange(m + 1)
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            sub = dist[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1])
-            dele = dist[i - 1, j] + 1
-            ins = dist[i, j - 1] + 1
-            dist[i, j] = min(sub, dele, ins)
+    last = {s: k for k, s in enumerate(hyp)}  # one code per distinct hyp symbol
+    save = 2 - np.not_equal.outer([last.get(s, -1) for s in ref], [last[s] for s in hyp])
+    gain = np.zeros((n + 1, m + 1), dtype=int)
+    for prev, row, row_save in zip(gain, gain[1:], save):
+        np.maximum(prev[:-1] + row_save, prev[1:], out=row[1:])
+        np.maximum.accumulate(row, out=row)
+    gain = gain.tolist()
 
     ops = []
     i, j = n, m
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and dist[i, j] == dist[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1]):
+        if i > 0 and j > 0 and gain[i][j] == gain[i - 1][j - 1] + 2 - (ref[i - 1] != hyp[j - 1]):
             op = "match" if ref[i - 1] == hyp[j - 1] else "sub"
             ops.append((op, i - 1, j - 1))
             i, j = i - 1, j - 1
-        elif i > 0 and dist[i, j] == dist[i - 1, j] + 1:
+        elif i > 0 and gain[i][j] == gain[i - 1][j]:
             ops.append(("del", i - 1, None))
             i -= 1
         else:

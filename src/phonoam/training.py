@@ -17,7 +17,7 @@ from .corpus import Utterance
 from .crf import build_denominator_graph
 from .ctc import check_feasible, greedy_decode
 from .errors import DimensionMismatch, EmptyCorpus, InfeasibleLength, InvalidTrainConfig
-from .evaluate import check_covered, edit_distance
+from .evaluate import check_covered, evaluate
 from .lm import train_phone_lm
 from .model import (
     AcousticModel,
@@ -27,6 +27,11 @@ from .model import (
     params_checksum,
     set_model_params,
 )
+
+# perfbench/layers.py looks up `greedy_decode` and `model_forward` on this
+# module to trace dev decoding, which runs inside `evaluate`; both names stay
+# here until the harness drops those two targets.
+_HARNESS_TRACED = (greedy_decode, model_forward)
 
 LR_FACTOR = 0.1
 LR_FLOOR = 1e-5
@@ -123,18 +128,6 @@ def _mean_loss(model, utts, index, loss, lm, graph) -> float:
     return float(np.mean(losses)) if losses else float("nan")
 
 
-def _dev_per(model, utts, index) -> float:
-    errors = 0
-    ref_len = 0
-    for utt in utts:
-        labels = _labels_of(utt, index)
-        Z, _ = model_forward(model, utt.frames)
-        s, i, d = edit_distance(labels, greedy_decode(Z))
-        errors += s + i + d
-        ref_len += len(labels)
-    return errors / ref_len if ref_len else 0.0
-
-
 def train(
     model: AcousticModel,
     train_set: list[Utterance],
@@ -182,7 +175,7 @@ def train(
     # dev loss of the untouched initialization, recorded before any update
     dev_eval = dev_set if dev_set else usable
     report.dev_loss.append(_mean_loss(model, dev_eval, index, config.loss, lm, graph))
-    report.dev_per.append(_dev_per(model, dev_eval, index))
+    report.dev_per.append(evaluate(model, dev_eval).per)
     report.lr.append(lr)
 
     for epoch in range(config.max_epochs):
@@ -206,7 +199,7 @@ def train(
         report.train_loss.append(float(np.mean(epoch_losses)))
         dev = _mean_loss(model, dev_eval, index, config.loss, lm, graph)
         report.dev_loss.append(dev)
-        report.dev_per.append(_dev_per(model, dev_eval, index))
+        report.dev_per.append(evaluate(model, dev_eval).per)
         report.lr.append(lr)
 
         if math.isnan(dev):

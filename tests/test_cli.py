@@ -3,9 +3,12 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from phonoam.checkpoint import load_checkpoint
 from phonoam.cli import main
 from phonoam.inventory import LanguageInventory, save_inventory
+from phonoam.model import model_params, params_checksum
 from test_checkpoint import rewrite
 
 PHONES = ("d", "ɛ", "ð", "ə", "i", "ʥ", "kʲ")
@@ -163,6 +166,21 @@ def test_extend_finetune_eval_flow(trained, workdir, capsys):
     assert "PER" in out and "unseen PER" in out
 
 
+def test_train_and_finetune_manifests_record_numpy_and_checksum(trained, workdir, capsys):
+    ext, ft = workdir / "manifest_ext.npz", workdir / "manifest_ft.npz"
+    run(capsys, "extend", "--checkpoint", str(trained), "--features", str(workdir / "features.tsv"),
+        "--target", str(workdir / "target.json"), "--out", str(ext))
+    code, _ = run(capsys, "finetune", "--checkpoint", str(ext), "--corpus", str(workdir / "target.jsonl"),
+                  "--epochs", "1", "--seed", "1", "--out", str(ft))
+    assert code == 0
+    for path in (trained, ft):
+        manifest = json.loads(path.with_name(path.name + ".manifest.json").read_text())
+        assert manifest["numpy"] == np.__version__
+        assert manifest["params_checksum"] == params_checksum(model_params(load_checkpoint(path)[0]))
+    extend_manifest = json.loads(ext.with_name(ext.name + ".manifest.json").read_text())
+    assert extend_manifest["numpy"] == np.__version__ and "params_checksum" not in extend_manifest
+
+
 def test_extend_with_no_new_phone_adds_nothing(trained, workdir, capsys):
     save_inventory(LanguageInventory("known", ("d", "ɛ")), workdir / "known.json")
     code, out = run(
@@ -184,11 +202,30 @@ BAD_ENCODER_VALUES = {
 }
 
 
+# (offset in a zip central-directory entry, new value of that 2-byte field from the old)
+ZIP_FIELD_EDITS = {
+    "zip_version": (6, lambda old: 99),  # "version needed to extract" 9.9
+    "zip_encrypted": (8, lambda old: old | 0x40),  # flag bit 6, strong encryption
+    "zip_password": (8, lambda old: old | 0x01),  # flag bit 0, password-protected
+}
+
+
+def edit_central_directory(src, dst, offset, update):
+    """Copy a zip file, rewriting one 2-byte field of its first central-directory entry."""
+    data = bytearray(src.read_bytes())
+    at = data.index(b"PK\x01\x02") + offset
+    data[at:at + 2] = update(int.from_bytes(data[at:at + 2], "little")).to_bytes(2, "little")
+    dst.write_bytes(data)
+
+
 @pytest.mark.parametrize("case", ["not_zip", "bias_array", "head_activation", "encoder_activation", "P_rows",
-                                  "encoder_key", "encoder_shape", "encoder_not_object", *BAD_ENCODER_VALUES])
+                                  "encoder_key", "encoder_shape", "encoder_not_object", *BAD_ENCODER_VALUES,
+                                  *ZIP_FIELD_EDITS])
 def test_eval_bad_checkpoint_exits_2(case, trained, workdir, capsys):
     bad = workdir / f"bad_{case}.npz"
-    if case in BAD_ENCODER_VALUES:
+    if case in ZIP_FIELD_EDITS:
+        edit_central_directory(trained, bad, *ZIP_FIELD_EDITS[case])
+    elif case in BAD_ENCODER_VALUES:
         rewrite(trained, bad, [("encoder_config", *BAD_ENCODER_VALUES[case])])
     elif case == "encoder_not_object":
         rewrite(trained, bad, [(None, "encoder_config", [6, 1, [8], 8])])
@@ -210,6 +247,45 @@ def test_eval_bad_checkpoint_exits_2(case, trained, workdir, capsys):
     code = main(["eval", "--checkpoint", str(bad), "--corpus", str(workdir / "L1.jsonl")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# Byte offsets, after the signature, of the fields of a zip central-directory
+# entry that zipfile reads: version needed, flags, compression, CRC, both
+# sizes, name, extra and comment lengths, and the local header's offset.
+CENTRAL_DIRECTORY_FIELDS = (6, 8, 10, 16, 20, 24, 28, 30, 32, 42)
+
+
+def central_directory_positions(data: bytes) -> list[int]:
+    """The position of the first byte of every field of every central-directory entry in data."""
+    out = []
+    at = data.find(b"PK\x01\x02")
+    while at >= 0:
+        out += [at + f for f in CENTRAL_DIRECTORY_FIELDS if at + f < len(data)]
+        at = data.find(b"PK\x01\x02", at + 1)
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_eval_on_damaged_files_exits_0_or_2(data, trained, workdir):
+    """A truncated or byte-flipped checkpoint or corpus is read, or refused with exit 2."""
+    kind = data.draw(st.sampled_from(["checkpoint", "corpus"]), label="file")
+    src = trained if kind == "checkpoint" else workdir / "L1.jsonl"
+    raw = bytearray(src.read_bytes())
+    positions = st.integers(0, len(raw) - 1)
+    if kind == "checkpoint":  # zipfile reads each member's version, flags and sizes from here
+        positions = positions | st.sampled_from(central_directory_positions(raw))
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        flips = data.draw(st.lists(st.tuples(positions, st.integers(1, 255)), min_size=1, max_size=3), label="flips")
+        for at, mask in flips:
+            raw[at] ^= mask
+    damaged = workdir / f"damaged{src.suffix}"
+    damaged.write_bytes(bytes(raw))
+    paths = {"checkpoint": trained, "corpus": workdir / "L1.jsonl", kind: damaged}
+    code = main(["eval", "--checkpoint", str(paths["checkpoint"]), "--corpus", str(paths["corpus"])])
+    assert code in (0, 2)
 
 
 @pytest.mark.parametrize("doc", [

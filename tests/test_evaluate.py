@@ -6,12 +6,49 @@ import pytest
 from phonoam.corpus import Utterance
 from phonoam.encoder import EncoderConfig
 from phonoam.errors import InventoryMismatch, IoFailure
-from phonoam.evaluate import align, edit_distance, evaluate, export_embeddings
+from phonoam.evaluate import align, evaluate, export_embeddings
 from phonoam.features import SPECIAL_SYMBOLS, SpecialToken, VECTOR_BITS
 from phonoam.heads import FlatHead, LinearHead, compute_embeddings
 from phonoam.model import AcousticModel
 
 RNG = np.random.default_rng(41)
+
+
+def reference_align(ref, hyp):
+    """Cell-by-cell Levenshtein table and backtrace: the oracle `align` must match op for op."""
+    ref, hyp = list(ref), list(hyp)
+    n, m = len(ref), len(hyp)
+    dist = np.zeros((n + 1, m + 1), dtype=int)
+    dist[:, 0] = np.arange(n + 1)
+    dist[0, :] = np.arange(m + 1)
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            sub = dist[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1])
+            dele = dist[i - 1, j] + 1
+            ins = dist[i, j - 1] + 1
+            dist[i, j] = min(sub, dele, ins)
+
+    ops = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and dist[i, j] == dist[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1]):
+            op = "match" if ref[i - 1] == hyp[j - 1] else "sub"
+            ops.append((op, i - 1, j - 1))
+            i, j = i - 1, j - 1
+        elif i > 0 and dist[i, j] == dist[i - 1, j] + 1:
+            ops.append(("del", i - 1, None))
+            i -= 1
+        else:
+            ops.append(("ins", None, j - 1))
+            j -= 1
+    ops.reverse()
+    return ops
+
+
+def edit_distance(ref, hyp) -> tuple[int, int, int]:
+    """(substitutions, insertions, deletions) of align's op list."""
+    ops = [op for op, _, _ in align(ref, hyp)]
+    return ops.count("sub"), ops.count("ins"), ops.count("del")
 
 
 class TestEditDistance:
@@ -58,6 +95,49 @@ class TestEditDistance:
             ops = align(a, b)
             assert sum(1 for op, *_ in ops if op != "ins") == len(a)
             assert sum(1 for op, *_ in ops if op != "del") == len(b)
+
+
+def _random_pair(rng, alphabet, max_len, as_str):
+    """(ref, hyp) over `alphabet` symbols, each side 0..max_len long."""
+    a, b = (
+        [int(x) for x in rng.integers(0, alphabet, size=rng.integers(0, max_len + 1))] for _ in range(2)
+    )
+    return ([f"p{x}" for x in a], [f"p{x}" for x in b]) if as_str else (a, b)
+
+
+class TestAlignMatchesReference:
+    """The row-update table gives the reference's whole op list, ties included."""
+
+    @pytest.mark.parametrize("as_str", [False, True], ids=["int", "str"])
+    @pytest.mark.parametrize("alphabet", [1, 2, 3])
+    def test_small_alphabets_force_ties(self, alphabet, as_str):
+        rng = np.random.default_rng(100 * alphabet + as_str)
+        for _ in range(150):
+            ref, hyp = _random_pair(rng, alphabet, 12, as_str)
+            assert align(ref, hyp) == reference_align(ref, hyp)
+
+    @pytest.mark.parametrize("as_str", [False, True], ids=["int", "str"])
+    def test_lengths_up_to_45(self, as_str):
+        rng = np.random.default_rng(7 + as_str)
+        for alphabet in (2, 3, 8, 40):
+            for _ in range(6):
+                ref, hyp = _random_pair(rng, alphabet, 45, as_str)
+                assert align(ref, hyp) == reference_align(ref, hyp)
+        full = [f"p{x}" for x in range(45)] if as_str else list(range(45))
+        assert align(full, full[::-1]) == reference_align(full, full[::-1])
+
+    @pytest.mark.parametrize("as_str", [False, True], ids=["int", "str"])
+    def test_either_side_empty(self, as_str):
+        rng = np.random.default_rng(3 + as_str)
+        for _ in range(20):
+            ref, _ = _random_pair(rng, 3, 10, as_str)
+            assert align(ref, []) == reference_align(ref, [])
+            assert align([], ref) == reference_align([], ref)
+        assert align([], []) == reference_align([], []) == []
+
+    def test_mixed_symbol_types_compare_by_equality(self):
+        ref, hyp = ("a", 1, "b", (2, 3)), [1, "b", "a", (2, 3), "c"]
+        assert align(ref, hyp) == reference_align(ref, hyp)
 
 
 def _manual_model(phones, emit):
