@@ -1,4 +1,13 @@
-"""Versioned checkpoint container (npz with a JSON metadata entry)."""
+"""Versioned checkpoint container (npz with a JSON metadata entry).
+
+A file holds `model_params` with "." written as "__" (`enc__W0`, `head__A1`),
+the phonological-vectors `P`, and metadata: format version, encoder config,
+head kind, units and epoch.  The parameter layout lives only in `encoder`,
+`heads` and `model`: loading checks the metadata, builds the model that
+`build_model` makes from it, and applies one check to every `enc__*`,
+`head__*` and `P` array, which must be in both the file and that model, with
+equal shape and dtype, and finite.  One IoFailure names every array that fails.
+"""
 
 from __future__ import annotations
 
@@ -11,8 +20,9 @@ import numpy as np
 
 from .encoder import EncoderConfig
 from .errors import IoFailure
-from .heads import FlatHead, LinearHead, NonlinearHead, head_kind, head_params
-from .model import AcousticModel
+from .features import VECTOR_BITS
+from .heads import head_kind
+from .model import AcousticModel, build_model, model_params, set_model_params
 
 FORMAT_VERSION = 1
 
@@ -20,8 +30,13 @@ FORMAT_VERSION = 1
 # this version computes; a file holding any other value is refused.
 FIXED_ENCODER_OPTIONS = {"activation": "tanh", "recurrent": False}
 HEAD_ACTIVATIONS = (None, "sigmoid")
-# Parameters of removed options; dropping them would change the model's outputs.
-REMOVED_ARRAYS = ("enc__R", "head__b", "head__b1", "head__b2")
+
+
+def _file_arrays(model: AcousticModel) -> dict[str, np.ndarray]:
+    """The model's arrays under the names a file stores them by."""
+    arrays = {k.replace(".", "__"): v for k, v in model_params(model).items()}
+    arrays["P"] = model.P
+    return arrays
 
 
 def save_checkpoint(model: AcousticModel, path, epoch: int = 0) -> None:
@@ -33,11 +48,9 @@ def save_checkpoint(model: AcousticModel, path, epoch: int = 0) -> None:
         "units": list(model.units),
         "epoch": epoch,
     }
-    arrays = {f"enc__{k}": v for k, v in model.encoder_params.items()}
-    arrays.update({f"head__{k}": v for k, v in head_params(model.head).items()})
-    arrays["P"] = model.P
     try:
-        np.savez_compressed(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+        np.savez_compressed(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                            **_file_arrays(model))
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
 
@@ -62,8 +75,10 @@ def _read(path) -> tuple[dict, dict[str, np.ndarray]]:
     return meta, arrays
 
 
-def _strip_removed_options(meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Drop what older files record of removed options; IoFailure if it changes the outputs."""
+def _strip_removed_options(meta: dict) -> None:
+    """Drop the metadata older files record of removed options; IoFailure if it
+    changes the outputs.  Their arrays (`enc__R`, `head__b*`) are not in the
+    model `build_model` makes, so the array check refuses them by name."""
     cfg = meta["encoder_config"]
     cfg.pop("dropout", None)  # older files carry the removed encoder dropout; it never ran
     for key, value in FIXED_ENCODER_OPTIONS.items():
@@ -71,9 +86,6 @@ def _strip_removed_options(meta: dict, arrays: dict[str, np.ndarray]) -> None:
             raise IoFailure(f"checkpoint encoder {key} must be {value!r}")
     if meta.get("head_activation") not in HEAD_ACTIVATIONS:
         raise IoFailure("checkpoint head activation must be sigmoid")
-    removed = [k for k in REMOVED_ARRAYS if k in arrays]
-    if removed:
-        raise IoFailure(f"checkpoint holds parameters of removed options: {', '.join(removed)}")
 
 
 def load_checkpoint(path) -> tuple[AcousticModel, dict]:
@@ -89,7 +101,7 @@ def _build(meta: dict, arrays: dict[str, np.ndarray]) -> AcousticModel:
         raise IoFailure(f"unsupported checkpoint version {meta['version']}")
     if not isinstance(meta["encoder_config"], dict):
         raise IoFailure("checkpoint encoder_config is not a JSON object")
-    _strip_removed_options(meta, arrays)
+    _strip_removed_options(meta)
     cfg = meta["encoder_config"]
     wrong = sorted(set(cfg) ^ {f.name for f in dataclasses.fields(EncoderConfig)})
     if wrong:
@@ -104,37 +116,36 @@ def _build(meta: dict, arrays: dict[str, np.ndarray]) -> AcousticModel:
             "checkpoint encoder_config needs integer input_dim, context and output_dim"
             " and hidden as a list of positive integers"
         )
+    units = meta["units"]
+    if not (isinstance(units, list) and all(type(u) is str for u in units) and len(set(units)) == len(units)):
+        raise IoFailure("checkpoint units must be a list of distinct strings")
+    if type(meta.get("epoch", 0)) is not int:
+        raise IoFailure("checkpoint epoch must be an integer")
     cfg["hidden"] = tuple(cfg["hidden"])
     encoder_config = EncoderConfig(**cfg)
-    enc_params = {k[len("enc__"):]: v for k, v in arrays.items() if k.startswith("enc__")}
-    expected = {}
-    for i, (rows, cols) in enumerate(encoder_config.layer_dims):
-        expected[f"W{i}"], expected[f"b{i}"] = (rows, cols), (rows,)
-    shapes = {k: v.shape for k, v in enc_params.items()}
-    bad = sorted(k for k in shapes.keys() | expected.keys() if shapes.get(k) != expected.get(k))
-    if bad:
-        raise IoFailure(f"checkpoint arrays {', '.join('enc__' + k for k in bad)} do not match encoder_config")
-    hp = {k[len("head__"):]: v for k, v in arrays.items() if k.startswith("head__")}
+    # build_model draws the encoder before any array is compared: refuse one larger than the file
+    if sum(rows * cols for rows, cols in encoder_config.layer_dims) > sum(a.size for a in arrays.values()):
+        raise IoFailure("checkpoint encoder_config needs more encoder weights than the file holds")
 
-    units = tuple(meta["units"])
-    kind = meta["head_kind"]
-    if kind == "flat":
-        head = FlatHead(E=hp["E"])
-        if head.E.shape != (len(units), encoder_config.output_dim):
-            raise IoFailure(f"checkpoint E is {head.E.shape}, not {len(units)} units x {encoder_config.output_dim}")
-    elif kind == "linear":
-        head = LinearHead(A=hp["A"])
-    elif kind == "nonlinear":
-        head = NonlinearHead(A1=hp["A1"], A2=hp["A2"])
-    else:
-        raise IoFailure(f"unknown head kind {kind!r}")
-    P = arrays["P"]
-    if P.shape[0] != len(units):
-        raise IoFailure(f"checkpoint P has {P.shape[0]} rows for {len(units)} units")
-    return AcousticModel(
-        encoder_config=encoder_config,
-        encoder_params=enc_params,
-        head=head,
-        P=P,
-        units=units,
+    a1 = arrays.get("head__A1")  # a nonlinear head's hidden width is its A1's row count
+    try:
+        model = build_model(tuple(units), np.zeros((len(units), VECTOR_BITS)), encoder_config,
+                            head=meta["head_kind"], head_hidden=len(a1) if a1 is not None and a1.ndim else 1)
+    except ValueError as exc:  # an unknown head kind
+        raise IoFailure(f"checkpoint has {exc}") from exc
+    expected = _file_arrays(model)
+    found = {k: v for k, v in arrays.items() if k == "P" or k.startswith(("enc__", "head__"))}
+    bad = sorted(
+        k for k in expected.keys() | found.keys()
+        if k not in expected or k not in found
+        or (found[k].shape, found[k].dtype) != (expected[k].shape, expected[k].dtype)
+        or not np.isfinite(found[k]).all()
     )
+    if bad:
+        raise IoFailure(
+            f"checkpoint arrays {', '.join(bad)} do not match the model its metadata describes:"
+            " each must be in both, with the same shape and dtype, and finite"
+        )
+    model.P = found.pop("P")
+    set_model_params(model, {k.replace("__", ".", 1): v for k, v in found.items()})
+    return model

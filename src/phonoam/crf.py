@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctc import BLANK, CtcResult, check_feasible, ctc_label_counts
-from .errors import InfeasibleLength
+from .ctc import BLANK, CtcResult, check_labels, ctc_label_counts
 from .heads import log_posteriors
 from .lm import PhoneLM
 
@@ -64,7 +63,6 @@ class DenominatorGraph:
     incoming: list[tuple[np.ndarray, np.ndarray]]
     init_logw: np.ndarray  # per-state initial weight (excl. emission score)
     final_logw: np.ndarray  # per-state end-of-sequence weight
-    state_unit: np.ndarray  # unit component of each state
 
 
 def build_denominator_graph(n_units: int, lm: PhoneLM | None) -> DenominatorGraph:
@@ -95,7 +93,6 @@ def build_denominator_graph(n_units: int, lm: PhoneLM | None) -> DenominatorGrap
         # the first frame leaves the start context, row 0, by a blank or a label
         init_logw=np.where(u == BLANK, np.where(c == 0, 0.0, -np.inf), log_cont[0] + log_next[0, u]),
         final_logw=log_stop[c],
-        state_unit=u,
     )
 
 
@@ -114,8 +111,8 @@ def denominator_forward_backward(graph: DenominatorGraph, logy: np.ndarray):
     -inf, since log(0) is taken without a warning.
     """
     T, N = logy.shape
-    trans = graph.trans
-    emit = logy[:, graph.state_unit]
+    trans, unit = graph.trans, graph.states[:, 1]
+    emit = logy[:, unit]
     la = np.empty_like(emit)
     lb = np.empty_like(emit)
     la[0] = graph.init_logw + emit[0]
@@ -132,7 +129,7 @@ def denominator_forward_backward(graph: DenominatorGraph, logy: np.ndarray):
     logden = _logsumexp(la[T - 1] + graph.final_logw)
     gamma = np.exp(la + lb - logden)
     counts = np.zeros((T, N))
-    np.add.at(counts.T, graph.state_unit, gamma.T)
+    np.add.at(counts.T, unit, gamma.T)
     return logden, counts
 
 
@@ -144,19 +141,14 @@ def crf_loss(
 ) -> CtcResult:
     """CTC-CRF negative log-likelihood and exact gradient w.r.t. the logits."""
     labels = list(labels)
-    if not labels or any(lab == BLANK for lab in labels):
-        raise InfeasibleLength("labels must be non-empty and blank-free")
-    T, N = Z.shape
-    if any(not 0 < lab < N for lab in labels):
-        raise InfeasibleLength(f"label out of range for {N} units")
-    check_feasible(T, labels)
+    check_labels(labels, *Z.shape)
 
     logy = log_posteriors(Z)
     num_loglik, num_counts = ctc_label_counts(logy, labels)
     lm_score = lm.score(labels) if lm is not None else 0.0
 
     if graph is None:
-        graph = build_denominator_graph(N, lm)
+        graph = build_denominator_graph(Z.shape[1], lm)
     logden, den_counts = denominator_forward_backward(graph, logy)
 
     nll = -(lm_score + num_loglik) + logden

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyResult, InfeasibleLength
+from .errors import InfeasibleLength
 from .heads import log_posteriors
 
 BLANK = 0
@@ -25,7 +25,8 @@ class CtcResult:
     dZ: np.ndarray
 
 
-def _collapse(path, blank: int = BLANK) -> list[int]:
+def collapse(path, blank: int = BLANK) -> list[int]:
+    """Merge consecutive duplicates, then drop blanks (the standard B map)."""
     out: list[int] = []
     prev = None
     for s in path:
@@ -35,15 +36,11 @@ def _collapse(path, blank: int = BLANK) -> list[int]:
     return out
 
 
-def collapse(path, blank: int = BLANK) -> list[int]:
-    """Merge consecutive duplicates, then drop blanks (the standard B map)."""
-    out = _collapse(path, blank)
-    if not out:
-        raise EmptyResult("collapsed sequence is empty")
-    return out
-
-
-def check_feasible(T: int, labels) -> None:
+def check_labels(labels, T: int, N: int) -> None:
+    """InfeasibleLength unless labels is a non-empty sequence of units in 1..N-1
+    (no blank) that T frames can realize."""
+    if not labels or any(not 0 < lab < N for lab in labels):
+        raise InfeasibleLength(f"labels must be non-empty, blank-free and below {N} units")
     repeats = sum(1 for a, b in zip(labels, labels[1:]) if a == b)
     needed = len(labels) + repeats
     if T < needed:
@@ -59,14 +56,7 @@ def ctc_loss(Z: np.ndarray, labels) -> CtcResult:
     indices.
     """
     labels = list(labels)
-    if not labels or any(lab == BLANK for lab in labels):
-        raise InfeasibleLength("labels must be non-empty and blank-free")
-    T, N = Z.shape
-    if N < 2:
-        raise InfeasibleLength("need at least a blank and one label unit")
-    if any(not 0 < lab < N for lab in labels):
-        raise InfeasibleLength(f"label out of range for {N} units")
-    check_feasible(T, labels)
+    check_labels(labels, *Z.shape)
 
     logy = log_posteriors(Z)
     loglik, counts = ctc_label_counts(logy, labels)
@@ -120,4 +110,4 @@ def ctc_label_counts(logy: np.ndarray, labels):
 def greedy_decode(Z: np.ndarray) -> list[int]:
     """Frame-wise argmax (ties to the lowest index) followed by collapse."""
     path = np.argmax(Z, axis=1)
-    return _collapse(path.tolist())
+    return collapse(path.tolist())

@@ -58,10 +58,6 @@ class InfeasibleLength(PhonoamError):
     pass
 
 
-class EmptyResult(PhonoamError):
-    pass
-
-
 class EmptyCorpus(PhonoamError):
     pass
 

@@ -14,7 +14,7 @@ acoustic encoder output; phone posteriors are the row-wise softmax.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -127,10 +127,6 @@ def head_backward(head: Head, P: np.ndarray, dE: np.ndarray) -> dict[str, np.nda
 
 
 def head_params(head: Head) -> dict[str, np.ndarray]:
-    """Named trainable parameters of a head."""
-    if isinstance(head, FlatHead):
-        return {"E": head.E}
-    if isinstance(head, LinearHead):
-        return {"A": head.A}
-    return {"A1": head.A1, "A2": head.A2}
+    """Named trainable parameters of a head: its fields."""
+    return {f.name: getattr(head, f.name) for f in fields(head)}
 

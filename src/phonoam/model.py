@@ -1,7 +1,7 @@
 """The full acoustic model: encoder -> embedding head -> logits -> loss.
 
 Parameters live in a flat name -> array dict with "enc." and "head."
-prefixes, which keeps the optimizer and checksumming generic.
+prefixes, which keeps the optimizer, checksumming and checkpoints generic.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 
 from .crf import build_denominator_graph, crf_loss, denominator_forward_backward
-from .ctc import ctc_loss, _collapse
+from .ctc import collapse, ctc_loss
 from .heads import log_posteriors, posteriors
 from .lm import PhoneLM, train_phone_lm
 
@@ -23,7 +23,7 @@ def brute_force_ctc(Z: np.ndarray, labels) -> float:
     target = list(labels)
     total = 0.0
     for path in itertools.product(range(N), repeat=T):
-        if _collapse(path) == target:
+        if collapse(path) == target:
             p = 1.0
             for t, s in enumerate(path):
                 p *= y[t, s]
@@ -41,7 +41,7 @@ def brute_force_crf_denominator(Z: np.ndarray, lm: PhoneLM | None) -> float:
         for t, s in enumerate(path):
             p *= y[t, s]
         if lm is not None:
-            p *= float(np.exp(lm.score(_collapse(path))))
+            p *= float(np.exp(lm.score(collapse(path))))
         total += p
     return float(np.log(total))
 

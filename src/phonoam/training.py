@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import Utterance
 from .crf import build_denominator_graph
-from .ctc import check_feasible, greedy_decode
+from .ctc import check_labels, greedy_decode
 from .errors import DimensionMismatch, EmptyCorpus, InfeasibleLength, InvalidTrainConfig
 from .evaluate import check_covered, evaluate
 from .lm import train_phone_lm
@@ -120,7 +120,7 @@ def _mean_loss(model, utts, index, loss, lm, graph) -> float:
     for utt in utts:
         labels = _labels_of(utt, index)
         try:
-            check_feasible(utt.frames.shape[0], labels)
+            check_labels(labels, utt.frames.shape[0], model.n_units)
         except InfeasibleLength:
             continue
         nll, _ = model_loss_and_grads(model, utt.frames, labels, loss, lm, graph)
@@ -158,7 +158,7 @@ def train(
     usable = []
     for utt in train_set:
         try:
-            check_feasible(utt.frames.shape[0], _labels_of(utt, index))
+            check_labels(_labels_of(utt, index), utt.frames.shape[0], model.n_units)
             usable.append(utt)
         except InfeasibleLength:
             report.skipped += 1

@@ -55,10 +55,10 @@ def rewrite(src, dst, meta_edits=(), **extra_arrays):
     np.savez_compressed(dst, **arrays)
 
 
-def assert_loads_as_saved(tmp_path, meta_edits, **extra_arrays):
+def assert_loads_as_saved(tmp_path, meta_edits, head="nonlinear", **extra_arrays):
     """A file that older versions wrote, with these entries added, loads as the
     same model as the file this version writes."""
-    model = tiny_model("nonlinear")
+    model = tiny_model(head)
     new, old = tmp_path / "new.npz", tmp_path / "old.npz"
     save_checkpoint(model, new)
     with np.load(new) as data:
@@ -102,6 +102,14 @@ def test_checkpoint_with_old_adam_state_loads(tmp_path):
     params = model_params(tiny_model("nonlinear"))
     moments = {f"adam_{m}__{k}": np.full_like(v, 0.5) for k, v in params.items() for m in "mv"}
     assert_loads_as_saved(tmp_path, [(None, "adam_step", 11), (None, "extra", {"note": "x"})], **moments)
+
+
+@pytest.mark.parametrize("head", ["flat", "linear", "nonlinear"])
+def test_old_file_of_every_head_loads(head, tmp_path):
+    # an older file of each head kind: encoder dropout and Adam state on its own parameters
+    moments = {f"adam_{m}__{k.replace('.', '__')}": np.ones_like(v)
+               for k, v in model_params(tiny_model(head)).items() for m in "mv"}
+    assert_loads_as_saved(tmp_path, [("encoder_config", "dropout", 0.0), (None, "adam_step", 3)], head, **moments)
 
 
 @pytest.mark.parametrize(
@@ -161,7 +169,7 @@ def test_missing_array_rejected(tmp_path):
     with np.load(path) as data:
         arrays = {k: data[k] for k in data.files if k != "head__A"}
     np.savez_compressed(path, **arrays)
-    with pytest.raises(IoFailure, match="lacks 'A'"):
+    with pytest.raises(IoFailure, match="head__A"):
         load_checkpoint(path)
 
 
@@ -171,7 +179,7 @@ def test_P_rows_must_match_units(tmp_path):
     with np.load(path) as data:
         units = json.loads(bytes(data["meta"]).decode())["units"]
     rewrite(path, path, [(None, "units", units[:-1])])
-    with pytest.raises(IoFailure, match="rows"):
+    with pytest.raises(IoFailure, match=r"\bP\b"):
         load_checkpoint(path)
 
 
@@ -182,7 +190,7 @@ def test_P_rows_must_match_units(tmp_path):
         ([], {"enc__W0": np.zeros((4, 2))}, "enc__W0"),
         ([], {"enc__W2": np.zeros((4, 4))}, "enc__W2"),
         ([("encoder_config", "hidden", [5])], {}, "enc__W0, enc__W1, enc__b0"),
-        ([], {"head__E": np.zeros((6, 4))}, "checkpoint E"),  # the model has 7 units of width 4
+        ([], {"head__E": np.zeros((6, 4))}, "head__E"),  # the model has 7 units of width 4
     ],
     ids=["unknown_key", "truncated_W0", "extra_layer", "hidden_width", "flat_E_rows"],
 )

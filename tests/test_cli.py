@@ -1,14 +1,16 @@
+import io
 import json
+from contextlib import redirect_stderr
 from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phonoam.checkpoint import load_checkpoint
+from phonoam.checkpoint import load_checkpoint, save_checkpoint
 from phonoam.cli import main
 from phonoam.inventory import LanguageInventory, save_inventory
-from phonoam.model import model_params, params_checksum
+from phonoam.model import build_model, model_params, params_checksum
 from test_checkpoint import rewrite
 
 PHONES = ("d", "ɛ", "ð", "ə", "i", "ʥ", "kʲ")
@@ -134,6 +136,15 @@ def trained(workdir):
     return ckpt
 
 
+@pytest.fixture(scope="module")
+def nonlinear(trained, workdir):
+    """An untrained nonlinear model with the trained model's units and encoder, saved."""
+    model, _ = load_checkpoint(trained)
+    path = workdir / "nonlinear.npz"
+    save_checkpoint(build_model(model.units, model.P, model.encoder_config, head="nonlinear", head_hidden=3), path)
+    return path
+
+
 def test_train_writes_checkpoint_and_manifest(trained, workdir, capsys):
     assert trained.exists()
     assert (workdir / "model.npz.manifest.json").exists()
@@ -218,12 +229,30 @@ def edit_central_directory(src, dst, offset, update):
     dst.write_bytes(data)
 
 
+# An array of the nonlinear file, and its replacement made from the old array.
+BAD_ARRAYS = {
+    "A1_shape": ("head__A1", lambda a: np.zeros((3, 50))),
+    "W0_str": ("enc__W0", lambda a: a.astype(str)),
+    "P_str": ("P", lambda a: a.astype(str)),
+    "W0_complex": ("enc__W0", lambda a: a.astype(complex)),
+    "A1_nan": ("head__A1", lambda a: np.full_like(a, np.nan)),
+}
+# A top-level metadata field of the trained file, and its new value.
+BAD_FIELDS = {"units_int": ("units", 5), "epoch_str": ("epoch", "x"), "epoch_null": ("epoch", None)}
+
+
 @pytest.mark.parametrize("case", ["not_zip", "bias_array", "head_activation", "encoder_activation", "P_rows",
                                   "encoder_key", "encoder_shape", "encoder_not_object", *BAD_ENCODER_VALUES,
-                                  *ZIP_FIELD_EDITS])
-def test_eval_bad_checkpoint_exits_2(case, trained, workdir, capsys):
+                                  *ZIP_FIELD_EDITS, *BAD_ARRAYS, *BAD_FIELDS])
+def test_eval_bad_checkpoint_exits_2(case, trained, nonlinear, workdir, capsys):
     bad = workdir / f"bad_{case}.npz"
-    if case in ZIP_FIELD_EDITS:
+    if case in BAD_ARRAYS:
+        name, edit = BAD_ARRAYS[case]
+        with np.load(nonlinear) as data:
+            rewrite(nonlinear, bad, **{name: edit(data[name])})
+    elif case in BAD_FIELDS:
+        rewrite(trained, bad, [(None, *BAD_FIELDS[case])])
+    elif case in ZIP_FIELD_EDITS:
         edit_central_directory(trained, bad, *ZIP_FIELD_EDITS[case])
     elif case in BAD_ENCODER_VALUES:
         rewrite(trained, bad, [("encoder_config", *BAD_ENCODER_VALUES[case])])
@@ -246,7 +275,10 @@ def test_eval_bad_checkpoint_exits_2(case, trained, workdir, capsys):
         rewrite(trained, bad, [(None, "units", ["<blk>"])])
     code = main(["eval", "--checkpoint", str(bad), "--corpus", str(workdir / "L1.jsonl")])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if case in BAD_ARRAYS or case in BAD_FIELDS:
+        assert {**BAD_ARRAYS, **BAD_FIELDS}[case][0] in err
 
 
 # Byte offsets, after the signature, of the fields of a zip central-directory
@@ -286,6 +318,57 @@ def test_eval_on_damaged_files_exits_0_or_2(data, trained, workdir):
     paths = {"checkpoint": trained, "corpus": workdir / "L1.jsonl", kind: damaged}
     code = main(["eval", "--checkpoint", str(paths["checkpoint"]), "--corpus", str(paths["corpus"])])
     assert code in (0, 2)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    | st.sampled_from(["flat", "linear", "nonlinear"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+META_FIELDS = [(None, "version"), (None, "head_kind"), (None, "units"), (None, "epoch"),
+               *(("encoder_config", k) for k in ("input_dim", "context", "hidden", "output_dim"))]
+# Ways to replace an array with one of the wrong shape or dtype, or not finite.
+WRONG_ARRAYS = {
+    "fewer_rows": lambda a, data: a[:-1],
+    "more_rows": lambda a, data: np.concatenate([a, a[:1]]),
+    "extra_axis": lambda a, data: a[None],
+    "fewer_columns": lambda a, data: a[..., :-1],
+    "int": lambda a, data: a.astype(np.int64),
+    "complex": lambda a, data: a.astype(complex),
+    "str": lambda a, data: a.astype(str),
+    "not_finite": lambda a, data: np.where(
+        np.arange(a.size).reshape(a.shape) == data.draw(st.integers(0, a.size - 1), label="at"),
+        data.draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="value"), a),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_retyped_checkpoint_exits_0_or_2(data, trained, nonlinear, workdir):
+    """A checkpoint with one metadata field set to any JSON value, or one array of the
+    wrong shape or dtype or not finite, is read or refused with exit 2 by every
+    command that loads one; a bad array is always refused, by name."""
+    src = data.draw(st.sampled_from([trained, nonlinear]), label="checkpoint")
+    bad = workdir / "retyped.npz"
+    name = None
+    if data.draw(st.booleans(), label="edit array"):
+        with np.load(src) as arrays:
+            name = data.draw(st.sampled_from(sorted(k for k in arrays.files if k != "meta")), label="array")
+            edit = data.draw(st.sampled_from(sorted(WRONG_ARRAYS)), label="edit")
+            rewrite(src, bad, **{name: WRONG_ARRAYS[edit](arrays[name], data)})
+    else:
+        rewrite(src, bad, [(*data.draw(st.sampled_from(META_FIELDS), label="field"), data.draw(JSON_VALUES, label="value"))])
+    corpus = str(workdir / "L1.jsonl")
+    for argv in (["eval", "--corpus", corpus], ["export-embeddings", "--out", str(workdir / "retyped.csv")],
+                 ["finetune", "--corpus", corpus, "--epochs", "1", "--out", str(workdir / "retyped_ft.npz")]):
+        with redirect_stderr(io.StringIO()) as err:
+            code = main([*argv, "--checkpoint", str(bad)])
+        assert code in (0, 2)
+        if name is not None:
+            # the hidden width is read from A1's rows, so A2 is the array that no longer fits
+            named = "head__A2" if name == "head__A1" and edit.endswith("_rows") else name
+            assert code == 2 and named in err.getvalue()
 
 
 @pytest.mark.parametrize("doc", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phonoam.crf import build_denominator_graph, crf_loss, denominator_forward_backward
-from phonoam.ctc import _collapse, ctc_loss
+from phonoam.ctc import collapse, ctc_loss
 from phonoam.errors import EmptyCorpus
 from phonoam.heads import log_posteriors, posteriors
 from phonoam.lm import train_phone_lm
@@ -95,7 +95,7 @@ def brute_force_occupancy(Z, lm):
     T, N = Z.shape
     counts = np.zeros((T, N))
     for path in itertools.product(range(N), repeat=T):
-        p = np.prod(y[np.arange(T), path]) * np.exp(lm.score(_collapse(path)))
+        p = np.prod(y[np.arange(T), path]) * np.exp(lm.score(collapse(path)))
         counts[np.arange(T), path] += p
     return counts / counts[0].sum()
 
@@ -103,7 +103,7 @@ def brute_force_occupancy(Z, lm):
 def edge_list_denominator(graph, logy):
     """The per-state recursion over `graph.incoming` that the matrix form replaced."""
     T, S = len(logy), len(graph.states)
-    emit = logy[:, graph.state_unit]
+    emit = logy[:, graph.states[:, 1]]
     la, lb = np.full((T, S), -np.inf), np.full((T, S), -np.inf)
     la[0] = graph.init_logw + emit[0]
     lb[T - 1] = graph.final_logw
@@ -115,7 +115,7 @@ def edge_list_denominator(graph, logy):
             np.logaddexp.at(lb[t], src, lb[t + 1, j] + emit[t + 1, j] + w)
     logden = np.logaddexp.reduce(la[T - 1] + graph.final_logw)
     counts = np.zeros_like(logy)
-    np.add.at(counts.T, graph.state_unit, np.exp(la + lb - logden).T)
+    np.add.at(counts.T, graph.states[:, 1], np.exp(la + lb - logden).T)
     return logden, counts
 
 
@@ -203,7 +203,7 @@ class TestDenominator:
             edges = np.zeros((S, S), dtype=int)
             for j, (src, _) in enumerate(graph.incoming):
                 edges[src, j] += 1
-            per_unit = edges @ (graph.state_unit[:, None] == np.arange(N))
+            per_unit = edges @ (graph.states[:, 1][:, None] == np.arange(N))
             assert np.array_equal(per_unit, np.ones((S, N)))
             assert edges.sum() == S * N
         assert order == 1 or edges.sum() == 9453  # N = 69 bigram

@@ -90,6 +90,16 @@ class TestTrain:
         report = train(model, utts[:4] + [short], utts[:2], TrainConfig(max_epochs=1))
         assert report.skipped == 1
 
+    @pytest.mark.parametrize("loss", ["ctc", "ctc_crf"])
+    def test_empty_utterance_skipped(self, loss):
+        # no phones fails the same label check as too few frames: skipped and
+        # counted, here and in the dev loss, not an error partway through training
+        model, utts = make_setup()
+        empty = Utterance(frames=np.zeros((3, D)), phones=(), language_id="L1")
+        report = train(model, utts[:4] + [empty], utts[:2] + [empty], TrainConfig(loss=loss, max_epochs=1))
+        assert report.skipped == 1
+        assert all(np.isfinite(report.dev_loss))
+
     def test_all_infeasible_rejected(self):
         model, utts = make_setup()
         short = Utterance(frames=np.zeros((1, D)), phones=utts[0].phones[:2] * 2, language_id="L1")
