@@ -123,16 +123,24 @@ def _build(meta: dict, arrays: dict[str, np.ndarray]) -> AcousticModel:
         raise IoFailure("checkpoint epoch must be an integer")
     cfg["hidden"] = tuple(cfg["hidden"])
     encoder_config = EncoderConfig(**cfg)
-    # build_model draws the encoder before any array is compared: refuse one larger than the file
-    if sum(rows * cols for rows, cols in encoder_config.layer_dims) > sum(a.size for a in arrays.values()):
-        raise IoFailure("checkpoint encoder_config needs more encoder weights than the file holds")
-
-    a1 = arrays.get("head__A1")  # a nonlinear head's hidden width is its A1's row count
-    try:
-        model = build_model(tuple(units), np.zeros((len(units), VECTOR_BITS)), encoder_config,
-                            head=meta["head_kind"], head_hidden=len(a1) if a1 is not None and a1.ndim else 1)
-    except ValueError as exc:  # an unknown head kind
-        raise IoFailure(f"checkpoint has {exc}") from exc
+    # a nonlinear head's hidden width is its A1's row count; an A1 with no rows
+    # is then refused by the array check, as build_model needs at least one
+    a1 = arrays.get("head__A1")
+    hidden = max(len(a1), 1) if a1 is not None and a1.ndim else 1
+    width, kind = encoder_config.output_dim, meta["head_kind"]
+    head_size = {
+        "flat": len(units) * width,
+        "linear": width * VECTOR_BITS,
+        "nonlinear": hidden * (VECTOR_BITS + width),
+    }
+    if not (isinstance(kind, str) and kind in head_size):
+        raise IoFailure(f"checkpoint has unknown head kind {kind!r}")
+    # build_model draws every weight before any array is compared: refuse a model larger than the file
+    drawn = sum(rows * cols for rows, cols in encoder_config.layer_dims) + head_size[kind]
+    if drawn > sum(a.size for a in arrays.values()):
+        raise IoFailure("checkpoint metadata describes a model with more weights than the file holds")
+    model = build_model(tuple(units), np.zeros((len(units), VECTOR_BITS)), encoder_config,
+                        head=kind, head_hidden=hidden)
     expected = _file_arrays(model)
     found = {k: v for k, v in arrays.items() if k == "P" or k.startswith(("enc__", "head__"))}
     bad = sorted(

@@ -122,7 +122,7 @@ def _utterance(rec: dict, symbols: list[str], where: str) -> Utterance:
         raise IoFailure(f"{where}: 'labels' must be a list of symbol indices in [0, {len(symbols)})")
     try:
         frames = np.array(rec.get("frames"), dtype=np.float64)
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, OverflowError):  # OverflowError: an integer beyond float range
         frames = None
     if frames is None or frames.ndim != 2 or frames.size == 0 or not np.isfinite(frames).all():
         raise IoFailure(f"{where}: 'frames' must be a non-empty list of equal-length rows of finite numbers")

@@ -14,11 +14,13 @@ automaton.  With lm=None the potential is self-normalized and the loss
 coincides with plain CTC.
 
 The graph's transitions are held as a dense S x S matrix of edge weights
-(probabilities, 0 where there is no edge), so each frame of the forward and
-of the backward pass is one matrix-vector product in the log domain, shifted
-by the frame's maximum: only the loop over frames is left in Python.  The
-per-state edge lists the graph also keeps are read only by the benchmark
-harness, which counts the graph's edges from them.
+(probabilities, 0 where there is no edge).  The forward and backward
+recursions run as the two rows of one loop over frames, the backward row over
+the frames reversed, so each frame is one max, one exp and one log for both
+rows and one matrix-vector product per row, each row shifted by its maximum:
+only the loop over frames is left in Python.  The per-state edge lists the
+graph also keeps are read only by the benchmark harness, which counts the
+graph's edges from them.
 
 The numerator keeps CTC's exact logaddexp lattice: the shift flushes states
 over ~745 nats below the frame's best to zero, and in a label lattice such a
@@ -106,26 +108,36 @@ def _logsumexp(a: np.ndarray) -> float:
 def denominator_forward_backward(graph: DenominatorGraph, logy: np.ndarray):
     """(log denominator, expected per-frame unit counts under the CRF).
 
-    Each frame is one product with `graph.trans`, taken on exp(row - max of
-    the row) and moved back to the log domain; states no path reaches read
-    -inf, since log(0) is taken without a warning.
+    Row 0 of the frame loop is the forward recursion and row 1 the backward
+    one over the reversed frames, as in `ctc_label_counts`; pre[t] holds each
+    row's value before frame t's emission.  Each row is shifted by its maximum
+    before the exp and its product with `graph.trans` (v @ trans forward,
+    trans @ v backward); states no path reaches read -inf, since log(0) is
+    taken without a warning.
     """
     T, N = logy.shape
     trans, unit = graph.trans, graph.states[:, 1]
     emit = logy[:, unit]
-    la = np.empty_like(emit)
-    lb = np.empty_like(emit)
-    la[0] = graph.init_logw + emit[0]
-    lb[T - 1] = graph.final_logw
+    pre = np.empty((T, 2, len(unit)))
+    em = np.empty_like(pre)
+    em[:, 0], em[:, 1] = emit, emit[::-1]
+
+    pre[0] = graph.init_logw, graph.final_logw
+    x = pre[0] + em[0]  # each row's value after the frame's emission
+    v, m = np.empty_like(x), np.empty((2, 1))
     with np.errstate(divide="ignore"):
         for t in range(1, T):
-            m = la[t - 1].max()
-            la[t] = np.log(np.exp(la[t - 1] - m) @ trans) + m + emit[t]
-        for t in range(T - 2, -1, -1):
-            x = lb[t + 1] + emit[t + 1]
-            m = x.max()
-            lb[t] = np.log(trans @ np.exp(x - m)) + m
+            np.maximum.reduce(x, axis=1, keepdims=True, out=m)
+            np.exp(np.subtract(x, m, out=v), out=v)
+            p = pre[t]
+            np.matmul(v[0], trans, out=p[0])
+            np.matmul(trans, v[1], out=p[1])
+            np.log(p, out=p)
+            p += m
+            np.add(p, em[t], out=x)
 
+    la = pre[:, 0] + emit
+    lb = pre[::-1, 1]
     logden = _logsumexp(la[T - 1] + graph.final_logw)
     gamma = np.exp(la + lb - logden)
     counts = np.zeros((T, N))

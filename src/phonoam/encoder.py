@@ -24,8 +24,8 @@ class EncoderConfig:
     output_dim: int = 64
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.output_dim < 1 or self.context < 0:
-            raise DimensionMismatch("input_dim, output_dim >= 1 and context >= 0")
+        if self.input_dim < 1 or self.output_dim < 1 or self.context < 0 or any(h < 1 for h in self.hidden):
+            raise DimensionMismatch("input_dim, output_dim and every hidden width >= 1, and context >= 0")
 
     @property
     def layer_dims(self) -> list[tuple[int, int]]:

@@ -19,7 +19,7 @@ from .corpus import Utterance
 from .ctc import greedy_decode
 from .errors import InventoryMismatch, IoFailure
 from .heads import compute_embeddings
-from .model import AcousticModel, model_forward
+from .model import AcousticModel, embeddings, model_forward
 
 
 def align(ref, hyp) -> list[tuple[str, int | None, int | None]]:
@@ -111,9 +111,10 @@ def evaluate(
     index = model.unit_index()
     check_covered(index, utterances)
     inv = {i: u for u, i in index.items()}
+    E = embeddings(model)
     result = EvalResult()
     for utt in utterances:
-        Z, _ = model_forward(model, utt.frames)
+        Z, _ = model_forward(model, utt.frames, E)
         hyp_units = greedy_decode(Z)
         hyp_phones = [inv[i] for i in hyp_units]
 

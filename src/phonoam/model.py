@@ -2,6 +2,11 @@
 
 Parameters live in a flat name -> array dict with "enc." and "head."
 prefixes, which keeps the optimizer, checksumming and checkpoints generic.
+
+The embeddings E depend only on the head's parameters, so a caller that runs
+many utterances between parameter updates computes them once with
+`embeddings(model)` and passes them to `model_forward` or
+`model_loss_and_grads`; either computes them itself when they are not given.
 """
 
 from __future__ import annotations
@@ -57,6 +62,8 @@ def build_model(
     seed: int = 0,
     head_hidden: int = 512,
 ) -> AcousticModel:
+    if head_hidden < 1:
+        raise DimensionMismatch(f"head_hidden must be >= 1, got {head_hidden}")
     rng = np.random.default_rng(seed)
     enc_params = init_encoder(encoder_config, rng)
     width = encoder_config.output_dim
@@ -142,10 +149,19 @@ def extend_model(
     )
 
 
-def model_forward(model: AcousticModel, frames: np.ndarray):
-    """Returns (Z, cache) where Z is the T x N logit matrix."""
+def embeddings(model: AcousticModel) -> np.ndarray:
+    """The N x H embedding matrix of the model's current parameters."""
+    return compute_embeddings(model.head, model.P)
+
+
+def model_forward(model: AcousticModel, frames: np.ndarray, E: np.ndarray | None = None):
+    """Returns (Z, cache) where Z is the T x N logit matrix.
+
+    E, if given, must be `embeddings(model)` of the current parameters.
+    """
     H_seq, enc_cache = encoder_forward(model.encoder_config, model.encoder_params, frames)
-    E = compute_embeddings(model.head, model.P)
+    if E is None:
+        E = embeddings(model)
     Z = logits(E, H_seq)
     return Z, {"enc": enc_cache, "H_seq": H_seq, "E": E}
 
@@ -157,9 +173,13 @@ def model_loss_and_grads(
     loss: str = "ctc",
     lm: PhoneLM | None = None,
     graph: DenominatorGraph | None = None,
+    E: np.ndarray | None = None,
 ):
-    """One utterance: (nll, grads dict) with exact analytic gradients."""
-    Z, cache = model_forward(model, frames)
+    """One utterance: (nll, grads dict) with exact analytic gradients.
+
+    E, if given, must be `embeddings(model)` of the current parameters.
+    """
+    Z, cache = model_forward(model, frames, E)
     if loss == "ctc":
         result = ctc_mod.ctc_loss(Z, labels)
     elif loss == "ctc_crf":

@@ -4,6 +4,10 @@ The schedule starts at the configured rate (default 1e-3) and divides by 10
 whenever the dev loss stops improving by more than MIN_DELTA for PATIENCE
 epochs, stopping once the rate drops below LR_FLOOR (1e-5).  An epoch whose
 dev loss is NaN (every dev utterance infeasible) leaves the schedule as is.
+
+The embeddings depend only on the parameters, so `train` computes them once
+per optimizer step and once per dev-loss pass, and `evaluate` once per call;
+every utterance of a batch or a pass shares them.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .evaluate import check_covered, evaluate
 from .lm import train_phone_lm
 from .model import (
     AcousticModel,
+    embeddings,
     model_forward,
     model_loss_and_grads,
     model_params,
@@ -53,8 +58,12 @@ class TrainConfig:
     lm_order: int = 1
 
     def __post_init__(self):
-        if not LR_FLOOR < self.lr:
-            raise InvalidTrainConfig(f"require lr floor ({LR_FLOOR:g}) < initial lr ({self.lr:g})")
+        if not LR_FLOOR < self.lr < math.inf:
+            raise InvalidTrainConfig(f"require a finite lr above the floor {LR_FLOOR:g}, got {self.lr:g}")
+        if self.batch_size < 1 or self.max_epochs < 1:
+            raise InvalidTrainConfig(
+                f"require batch_size >= 1 and max_epochs >= 1, got {self.batch_size} and {self.max_epochs}"
+            )
 
 
 @dataclass
@@ -116,6 +125,7 @@ def _labels_of(utt: Utterance, index: dict[str, int]) -> list[int]:
 
 
 def _mean_loss(model, utts, index, loss, lm, graph) -> float:
+    E = embeddings(model)
     losses = []
     for utt in utts:
         labels = _labels_of(utt, index)
@@ -123,7 +133,7 @@ def _mean_loss(model, utts, index, loss, lm, graph) -> float:
             check_labels(labels, utt.frames.shape[0], model.n_units)
         except InfeasibleLength:
             continue
-        nll, _ = model_loss_and_grads(model, utt.frames, labels, loss, lm, graph)
+        nll, _ = model_loss_and_grads(model, utt.frames, labels, loss, lm, graph, E)
         losses.append(nll)
     return float(np.mean(losses)) if losses else float("nan")
 
@@ -184,9 +194,10 @@ def train(
         for start in range(0, len(usable), config.batch_size):
             batch = [usable[i] for i in order[start : start + config.batch_size]]
             acc: dict[str, np.ndarray] = {k: np.zeros_like(p) for k, p in params.items()}
+            E = embeddings(model)
             for utt in batch:
                 nll, grads = model_loss_and_grads(
-                    model, utt.frames, _labels_of(utt, index), config.loss, lm, graph
+                    model, utt.frames, _labels_of(utt, index), config.loss, lm, graph, E
                 )
                 epoch_losses.append(nll)
                 for k, g in grads.items():

@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 from contextlib import redirect_stderr
 from importlib import resources
 
@@ -236,6 +237,7 @@ BAD_ARRAYS = {
     "P_str": ("P", lambda a: a.astype(str)),
     "W0_complex": ("enc__W0", lambda a: a.astype(complex)),
     "A1_nan": ("head__A1", lambda a: np.full_like(a, np.nan)),
+    "A1_no_rows": ("head__A1", lambda a: a[:0]),
 }
 # A top-level metadata field of the trained file, and its new value.
 BAD_FIELDS = {"units_int": ("units", 5), "epoch_str": ("epoch", "x"), "epoch_null": ("epoch", None)}
@@ -371,6 +373,46 @@ def test_retyped_checkpoint_exits_0_or_2(data, trained, nonlinear, workdir):
             assert code == 2 and named in err.getvalue()
 
 
+def test_wide_head_refused_before_it_is_drawn(nonlinear, workdir, capsys):
+    """A small file whose A1 claims 200,000 hidden units (and holds no values) is
+    refused before the loader draws a head of that width."""
+    bad = workdir / "wide_head.npz"
+    rewrite(nonlinear, bad, head__A1=np.zeros((200_000, 0)))
+    tracemalloc.start()
+    try:
+        code = main(["eval", "--checkpoint", str(bad), "--corpus", str(workdir / "L1.jsonl")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: checkpoint metadata describes a model with more weights")
+    assert peak < 4e6  # drawing A1 alone would take 200,000 x 51 doubles, 82 MB
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_retyped_corpus_exits_0_or_2(data, trained, workdir):
+    """A corpus whose header `symbols`, or one utterance's `language`, `labels`,
+    `frames` or frame row, is any JSON value is read, or refused with exit 2."""
+    header, *records = (json.loads(ln) for ln in (workdir / "L1.jsonl").read_text(encoding="utf-8").splitlines())
+    value = data.draw(JSON_VALUES, label="value")
+    field = data.draw(st.sampled_from(["symbols", "language", "labels", "frames", "frame row"]), label="field")
+    if field == "symbols":
+        header["symbols"] = value
+    else:
+        rec = records[data.draw(st.integers(0, len(records) - 1), label="utterance")]
+        if field == "frame row":
+            rec["frames"][data.draw(st.integers(0, len(rec["frames"]) - 1), label="row")] = value
+        else:
+            rec[field] = value
+    bad = workdir / "retyped.jsonl"
+    bad.write_text("".join(json.dumps(doc, ensure_ascii=False) + "\n" for doc in [header, *records]),
+                   encoding="utf-8")
+    with redirect_stderr(io.StringIO()):
+        code = main(["eval", "--checkpoint", str(trained), "--corpus", str(bad)])
+    assert code in (0, 2)
+
+
 @pytest.mark.parametrize("doc", [
     '{"phones": ["d"]}', '{"language": "X"}', '["d"]', "{not json",
     '{"language": "X", "phones": 5}', '{"language": "X", "phones": "abc"}',
@@ -392,7 +434,7 @@ def _corpus_lines(workdir):
 @pytest.mark.parametrize("case, line", [
     ("empty", 1), ("header_not_object", 1), ("no_symbols", 1), ("header_only", 2), ("bad_json", 3),
     ("label_out_of_range", 2), ("label_negative", 2), ("label_float", 2), ("ragged_frames", 2),
-    ("no_frames", 2), ("frame_dims_differ", 3),
+    ("no_frames", 2), ("frame_dims_differ", 3), ("frame_beyond_float", 2),
 ])
 def test_eval_bad_corpus_exits_2(case, line, trained, workdir, capsys):
     header, rec, second = _corpus_lines(workdir)
@@ -416,6 +458,7 @@ def test_eval_bad_corpus_exits_2(case, line, trained, workdir, capsys):
             "label_float": {"labels": [1.0]},
             "ragged_frames": {"frames": [rec["frames"][0], rec["frames"][1][:-1]]},
             "no_frames": {"frames": []},
+            "frame_beyond_float": {"frames": [[10**400] * len(rec["frames"][0])]},  # json writes all digits
         }[case])
         lines = [header, json.dumps(rec)]
     bad = workdir / f"bad_{case}.jsonl"
@@ -445,6 +488,33 @@ def test_train_lr_below_floor_exits_2(workdir, capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (workdir / "never_written.npz").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--batch-size", "0"], ["--batch-size", "-3"], ["--epochs", "0"], ["--epochs", "-1"], ["--lr", "inf"],
+    ["--hidden", "0"], ["--hidden", "8", "0"], ["--head-hidden", "0"],
+], ids=lambda flags: "_".join(flags).lstrip("-"))
+def test_train_nonsense_size_exits_2(flags, workdir, capsys):
+    out = workdir / "nonsense.npz"
+    code = main([
+        "train", "--features", str(workdir / "features.tsv"),
+        "--inventories", str(workdir / "L1.json"), "--corpus", str(workdir / "L1.jsonl"),
+        "--context", "1", "--hidden", "8", "--width", "8", "--head-hidden", "4", *flags, "--out", str(out),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--batch-size", "0"], ["--epochs", "0"], ["--lr", "inf"]],
+                         ids=lambda flags: "_".join(flags).lstrip("-"))
+def test_finetune_nonsense_size_exits_2(flags, trained, workdir, capsys):
+    out = workdir / "nonsense_ft.npz"
+    code = main(["finetune", "--checkpoint", str(trained), "--corpus", str(workdir / "L1.jsonl"), *flags,
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_eval_fails_cleanly_on_uncovered_corpus(trained, workdir, capsys):

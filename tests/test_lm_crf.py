@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from phonoam.crf import build_denominator_graph, crf_loss, denominator_forward_backward
+from phonoam.crf import _logsumexp, build_denominator_graph, crf_loss, denominator_forward_backward
 from phonoam.ctc import collapse, ctc_loss
 from phonoam.errors import EmptyCorpus
 from phonoam.heads import log_posteriors, posteriors
@@ -119,6 +119,29 @@ def edge_list_denominator(graph, logy):
     return logden, counts
 
 
+def two_loop_denominator(graph, logy):
+    """The denominator with one loop over frames per direction, which the
+    two-row loop replaced: the same shifted products, one row at a time."""
+    T = len(logy)
+    trans, unit = graph.trans, graph.states[:, 1]
+    emit = logy[:, unit]
+    la, lb = np.empty_like(emit), np.empty_like(emit)
+    la[0] = graph.init_logw + emit[0]
+    lb[T - 1] = graph.final_logw
+    with np.errstate(divide="ignore"):
+        for t in range(1, T):
+            m = la[t - 1].max()
+            la[t] = np.log(np.exp(la[t - 1] - m) @ trans) + m + emit[t]
+        for t in range(T - 2, -1, -1):
+            x = lb[t + 1] + emit[t + 1]
+            m = x.max()
+            lb[t] = np.log(trans @ np.exp(x - m)) + m
+    logden = _logsumexp(la[T - 1] + graph.final_logw)
+    counts = np.zeros_like(logy)
+    np.add.at(counts.T, unit, np.exp(la + lb - logden).T)
+    return logden, counts
+
+
 def check_against_brute_force(Z, lm):
     logden, counts = denominator_forward_backward(
         build_denominator_graph(Z.shape[1], lm), log_posteriors(Z)
@@ -179,6 +202,22 @@ class TestDenominator:
             ref_logden, ref_counts = edge_list_denominator(graph, logy)
             assert abs(logden - ref_logden) < 1e-12 * abs(ref_logden)
             assert np.max(np.abs(counts - ref_counts)) < 1e-9
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("smoothing", [0.0, 1.0])
+    def test_bit_identical_to_two_loop_recursion(self, order, smoothing):
+        rng = np.random.default_rng(order * 10 + int(smoothing))
+        for T in (1, 2, 7, 40, 1000):
+            N = int(rng.integers(2, 70))
+            corpus = [[int(u) for u in rng.integers(1, N, size=rng.integers(1, 6))] for _ in range(10)]
+            lm = train_phone_lm(corpus, order=order, smoothing=smoothing, vocab=range(1, N))
+            graph = build_denominator_graph(N, lm)
+            for scale in (0.5, 3.0, 30.0):
+                logy = log_posteriors(rng.normal(0.0, scale, size=(T, N)))
+                logden, counts = denominator_forward_backward(graph, logy)
+                ref_logden, ref_counts = two_loop_denominator(graph, logy)
+                assert logden == ref_logden, (T, N, scale)
+                assert np.array_equal(counts, ref_counts), (T, N, scale)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_trans_equals_edge_lists(self, order):

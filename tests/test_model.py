@@ -10,6 +10,7 @@ from phonoam.inventory import LanguageInventory, merge_inventories
 from phonoam.lm import train_phone_lm
 from phonoam.model import (
     build_model,
+    embeddings,
     extend_model,
     model_forward,
     model_loss_and_grads,
@@ -70,6 +71,28 @@ def test_end_to_end_gradients(head, loss):
 
         fd = finite_difference(f, p)
         assert max_rel_err(fd, grads[name]) < 1e-4, name
+
+
+@pytest.mark.parametrize("head", ["flat", "linear", "nonlinear"])
+@pytest.mark.parametrize("loss", ["ctc", "ctc_crf"])
+def test_given_embeddings_change_no_bit(head, loss):
+    model, ps = tiny_model(head)
+    frames = RNG.normal(size=(5, 3))
+    labels = [3, 4]
+    lm = None
+    if loss == "ctc_crf":
+        lm = train_phone_lm([labels, [3]], order=2, smoothing=1.0, vocab=range(1, len(ps.units)))
+    nll, grads = model_loss_and_grads(model, frames, labels, loss, lm)
+    given_nll, given_grads = model_loss_and_grads(model, frames, labels, loss, lm, None, embeddings(model))
+    assert given_nll == nll
+    assert given_grads.keys() == grads.keys()
+    assert all(np.array_equal(given_grads[k], grads[k]) for k in grads)
+
+
+def test_head_hidden_below_one_rejected():
+    model, ps = tiny_model()
+    with pytest.raises(DimensionMismatch, match="head_hidden"):
+        build_model(ps.units, model.P, model.encoder_config, head="nonlinear", head_hidden=0)
 
 
 class TestExtend:

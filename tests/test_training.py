@@ -1,12 +1,15 @@
+import math
 import re
 
 import numpy as np
 import pytest
 
+from phonoam import model as model_mod
 from phonoam import training
 from phonoam.corpus import SynthLanguageSpec, Utterance, generate_language, make_emission_map
 from phonoam.encoder import EncoderConfig
-from phonoam.errors import DimensionMismatch, EmptyCorpus, InventoryMismatch
+from phonoam.errors import DimensionMismatch, EmptyCorpus, InvalidTrainConfig, InventoryMismatch
+from phonoam.evaluate import evaluate
 from phonoam.features import SpecialToken, builtin_table, encode_inventory
 from phonoam.inventory import LanguageInventory, merge_inventories
 from phonoam.model import build_model, model_params, params_checksum
@@ -74,6 +77,27 @@ class TestTrainConfig:
     def test_floor_must_be_below_lr(self):
         with pytest.raises(ValueError):
             TrainConfig(lr=LR_FLOOR)
+
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0), ("batch_size", -3), ("max_epochs", 0), ("max_epochs", -1),
+        ("lr", math.inf), ("lr", math.nan),
+    ])
+    def test_nonsense_sizes_rejected(self, field, value):
+        with pytest.raises(InvalidTrainConfig, match=field):
+            TrainConfig(**{field: value})
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name so that it counts its calls; returns the counter."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestTrain:
@@ -173,6 +197,26 @@ class TestTrain:
         cfg = TrainConfig(loss=loss, max_epochs=8, lr=3e-3)
         report = train(model, utts[:10], utts[10:], cfg)
         assert report.dev_loss[-1] < report.dev_loss[0]
+
+
+@pytest.mark.parametrize("loss", ["ctc", "ctc_crf"])
+def test_embeddings_computed_once_per_update_and_pass(loss, monkeypatch):
+    model, utts = make_setup(head="nonlinear")
+    embedded = count_calls(monkeypatch, model_mod, "compute_embeddings")
+    steps = count_calls(monkeypatch, training, "adam_step")
+    evaluations = count_calls(monkeypatch, training, "evaluate")
+    report = train(model, utts[:10], utts[10:], TrainConfig(loss=loss, max_epochs=2, batch_size=3))
+    assert len(steps) == 2 * 4  # two epochs of ceil(10 / 3) batches
+    assert len(evaluations) == len(report.dev_per) == 3
+    # once per Adam step, once per dev-loss pass, once per evaluate call
+    assert len(embedded) == len(steps) + len(report.dev_loss) + len(evaluations)
+
+
+def test_evaluate_computes_embeddings_once(monkeypatch):
+    model, utts = make_setup(head="nonlinear")
+    embedded = count_calls(monkeypatch, model_mod, "compute_embeddings")
+    evaluate(model, utts)
+    assert len(embedded) == 1
 
 
 class TestMultilingualAndFinetune:
