@@ -103,64 +103,42 @@ def evaluate(
 ) -> EvalResult:
     """Greedy-decode every utterance and aggregate phone error counts.
 
-    Errors are split by whether the implicated reference phone was unseen in
-    training.  An insertion is attributed to the class of the next reference
-    phone in the alignment (or the previous one at the utterance end), so the
+    Errors are split by whether the reference phone each one is charged to was
+    unseen in training.  A substitution or deletion is charged to its own
+    reference phone.  An insertion is charged to the next reference phone in
+    the alignment; past the last one, to the last one; with an empty
+    reference it counts as seen.  Every error is charged exactly once, so the
     class-wise errors and token counts add back up to the overall PER.
     """
-    index = model.unit_index()
-    check_covered(index, utterances)
-    inv = {i: u for u, i in index.items()}
+    check_covered(model.unit_index(), utterances)
+    units = model.units
     E = embeddings(model)
     result = EvalResult()
     for utt in utterances:
         Z, _ = model_forward(model, utt.frames, E)
-        hyp_units = greedy_decode(Z)
-        hyp_phones = [inv[i] for i in hyp_units]
-
-        ops = align(utt.phones, hyp_phones)
-        result.ref_len += len(utt.phones)
-        for p in utt.phones:
-            if p in unseen:
-                result.unseen_len += 1
-            else:
-                result.seen_len += 1
-
-        last_class_unseen = False
-        pending_ins = 0
-        for op, ri, hj in ops:
+        ref, hyp = utt.phones, [units[i] for i in greedy_decode(Z)]
+        # one flag per reference phone, then one for the slot past the end
+        charged_unseen = [p in unseen for p in ref]
+        result.ref_len += len(ref)
+        result.unseen_len += sum(charged_unseen)
+        charged_unseen.append(charged_unseen[-1] if ref else False)
+        next_ri = 0  # the reference phone an insertion here is charged to
+        for op, ri, hj in align(ref, hyp):
             if op == "ins":
                 result.insertions += 1
-                pending_ins += 1
+                result.unseen_errors += charged_unseen[next_ri]
                 continue
-            phone = utt.phones[ri]
-            is_unseen = phone in unseen
-            # flush insertions onto the class of this (following) ref phone
-            if is_unseen:
-                result.unseen_errors += pending_ins
-            else:
-                result.seen_errors += pending_ins
-            pending_ins = 0
-            last_class_unseen = is_unseen
+            next_ri = ri + 1
             if op == "sub":
                 result.substitutions += 1
-                result.confusions[(phone, hyp_phones[hj])] += 1
-                err = 1
+                result.confusions[(ref[ri], hyp[hj])] += 1
+                result.unseen_errors += charged_unseen[ri]
             elif op == "del":
                 result.deletions += 1
-                result.confusions[(phone, None)] += 1
-                err = 1
-            else:
-                err = 0
-            if is_unseen:
-                result.unseen_errors += err
-            else:
-                result.seen_errors += err
-        # trailing insertions: attribute to the last reference class
-        if last_class_unseen:
-            result.unseen_errors += pending_ins
-        else:
-            result.seen_errors += pending_ins
+                result.confusions[(ref[ri], None)] += 1
+                result.unseen_errors += charged_unseen[ri]
+    result.seen_len = result.ref_len - result.unseen_len
+    result.seen_errors = result.substitutions + result.insertions + result.deletions - result.unseen_errors
     return result
 
 

@@ -41,12 +41,12 @@ class PhoneLM:
     log_stop: np.ndarray  # per context
 
     def score(self, labels) -> float:
-        """log p(l) including the end-of-sequence term."""
-        labels = np.asarray(labels, dtype=int)
-        ctx = _context_rows(self.order, labels)
-        steps = self.log_cont[ctx[:-1]] + self.log_next[ctx[:-1], labels]
-        # a running sum adds the terms in sequence order, as the factorization reads
-        return float(np.cumsum(np.append(steps, self.log_stop[ctx[-1]]))[-1])
+        """log p(l) including the end-of-sequence term, summed in sequence order."""
+        total, ctx = 0.0, 0
+        for lab in labels:
+            total += self.log_cont[ctx] + self.log_next[ctx, lab]
+            ctx = lab if self.order == 2 else 0
+        return float(total + self.log_stop[ctx])
 
 
 def _context_rows(order: int, labels: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ dev loss is NaN (every dev utterance infeasible) leaves the schedule as is.
 
 The embeddings depend only on the parameters, so `train` computes them once
 per optimizer step and once per dev-loss pass, and `evaluate` once per call;
-every utterance of a batch or a pass shares them.
+every utterance of a batch or a pass shares them.  Likewise each utterance's
+phones are mapped to labels and checked once per `train` call, not per epoch.
 """
 
 from __future__ import annotations
@@ -64,6 +65,10 @@ class TrainConfig:
             raise InvalidTrainConfig(
                 f"require batch_size >= 1 and max_epochs >= 1, got {self.batch_size} and {self.max_epochs}"
             )
+        if self.loss not in ("ctc", "ctc_crf"):
+            raise InvalidTrainConfig(f"loss must be 'ctc' or 'ctc_crf', got {self.loss!r}")
+        if self.lm_order not in (1, 2):
+            raise InvalidTrainConfig(f"lm_order must be 1 or 2, got {self.lm_order!r}")
 
 
 @dataclass
@@ -120,21 +125,22 @@ def _clip_global(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.
     return {k: g * scale for k, g in grads.items()}
 
 
-def _labels_of(utt: Utterance, index: dict[str, int]) -> list[int]:
-    return [index[p] for p in utt.phones]
-
-
-def _mean_loss(model, utts, index, loss, lm, graph) -> float:
-    E = embeddings(model)
-    losses = []
+def _feasible(utts, index: dict[str, int], n_units: int) -> list[tuple[Utterance, list[int]]]:
+    """(utterance, labels) for each utterance whose labels `check_labels` accepts."""
+    pairs = []
     for utt in utts:
-        labels = _labels_of(utt, index)
+        labels = [index[p] for p in utt.phones]
         try:
-            check_labels(labels, utt.frames.shape[0], model.n_units)
+            check_labels(labels, utt.frames.shape[0], n_units)
         except InfeasibleLength:
             continue
-        nll, _ = model_loss_and_grads(model, utt.frames, labels, loss, lm, graph, E)
-        losses.append(nll)
+        pairs.append((utt, labels))
+    return pairs
+
+
+def _mean_loss(model, pairs, loss, lm, graph) -> float:
+    E = embeddings(model)
+    losses = [model_loss_and_grads(model, u.frames, labels, loss, lm, graph, E)[0] for u, labels in pairs]
     return float(np.mean(losses)) if losses else float("nan")
 
 
@@ -158,20 +164,16 @@ def train(
 
     lm = graph = None
     if config.loss == "ctc_crf":
+        # every transcript counts, feasible or not: an empty one is a stop at the start
         lm = train_phone_lm(
-            [_labels_of(u, index) for u in train_set],
+            [[index[p] for p in u.phones] for u in train_set],
             order=config.lm_order,
             vocab=range(1, model.n_units),  # denominator graph spans every unit
         )
         graph = build_denominator_graph(model.n_units, lm)
 
-    usable = []
-    for utt in train_set:
-        try:
-            check_labels(_labels_of(utt, index), utt.frames.shape[0], model.n_units)
-            usable.append(utt)
-        except InfeasibleLength:
-            report.skipped += 1
+    usable = _feasible(train_set, index, model.n_units)
+    report.skipped = len(train_set) - len(usable)
     if not usable:
         raise EmptyCorpus("every training utterance is infeasible for the loss")
 
@@ -183,8 +185,9 @@ def train(
     stale = 0
 
     # dev loss of the untouched initialization, recorded before any update
-    dev_eval = dev_set if dev_set else usable
-    report.dev_loss.append(_mean_loss(model, dev_eval, index, config.loss, lm, graph))
+    dev_pairs = _feasible(dev_set, index, model.n_units) if dev_set else usable
+    dev_eval = dev_set if dev_set else [utt for utt, _ in usable]
+    report.dev_loss.append(_mean_loss(model, dev_pairs, config.loss, lm, graph))
     report.dev_per.append(evaluate(model, dev_eval).per)
     report.lr.append(lr)
 
@@ -195,10 +198,8 @@ def train(
             batch = [usable[i] for i in order[start : start + config.batch_size]]
             acc: dict[str, np.ndarray] = {k: np.zeros_like(p) for k, p in params.items()}
             E = embeddings(model)
-            for utt in batch:
-                nll, grads = model_loss_and_grads(
-                    model, utt.frames, _labels_of(utt, index), config.loss, lm, graph, E
-                )
+            for utt, labels in batch:
+                nll, grads = model_loss_and_grads(model, utt.frames, labels, config.loss, lm, graph, E)
                 epoch_losses.append(nll)
                 for k, g in grads.items():
                     acc[k] += g
@@ -208,7 +209,7 @@ def train(
             set_model_params(model, params)
 
         report.train_loss.append(float(np.mean(epoch_losses)))
-        dev = _mean_loss(model, dev_eval, index, config.loss, lm, graph)
+        dev = _mean_loss(model, dev_pairs, config.loss, lm, graph)
         report.dev_loss.append(dev)
         report.dev_per.append(evaluate(model, dev_eval).per)
         report.lr.append(lr)

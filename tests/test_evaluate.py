@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from phonoam.corpus import Utterance
+from phonoam.ctc import greedy_decode
 from phonoam.encoder import EncoderConfig
 from phonoam.errors import InventoryMismatch, IoFailure
-from phonoam.evaluate import align, evaluate, export_embeddings
+from phonoam.evaluate import EvalResult, align, evaluate, export_embeddings
 from phonoam.features import SPECIAL_SYMBOLS, SpecialToken, VECTOR_BITS
 from phonoam.heads import FlatHead, LinearHead, compute_embeddings
-from phonoam.model import AcousticModel
+from phonoam.model import AcousticModel, model_forward
 
 RNG = np.random.default_rng(41)
 
@@ -236,6 +237,96 @@ class TestEvaluate:
         utt = Utterance(frames=np.zeros((2, model.n_units)), phones=("z",), language_id="L")
         with pytest.raises(InventoryMismatch):
             evaluate(model, [utt])
+
+
+def reference_evaluate(model, utterances, unseen):
+    """Insertions held pending until the next reference phone, then flushed onto
+    its class, and trailing ones onto the last class: the oracle `evaluate`'s
+    one-pass charging must match field for field."""
+    inv = {i: u for u, i in model.unit_index().items()}
+    result = EvalResult()
+    for utt in utterances:
+        Z, _ = model_forward(model, utt.frames)
+        hyp_phones = [inv[i] for i in greedy_decode(Z)]
+
+        ops = align(utt.phones, hyp_phones)
+        result.ref_len += len(utt.phones)
+        for p in utt.phones:
+            if p in unseen:
+                result.unseen_len += 1
+            else:
+                result.seen_len += 1
+
+        last_class_unseen = False
+        pending_ins = 0
+        for op, ri, hj in ops:
+            if op == "ins":
+                result.insertions += 1
+                pending_ins += 1
+                continue
+            phone = utt.phones[ri]
+            is_unseen = phone in unseen
+            if is_unseen:
+                result.unseen_errors += pending_ins
+            else:
+                result.seen_errors += pending_ins
+            pending_ins = 0
+            last_class_unseen = is_unseen
+            if op == "sub":
+                result.substitutions += 1
+                result.confusions[(phone, hyp_phones[hj])] += 1
+                err = 1
+            elif op == "del":
+                result.deletions += 1
+                result.confusions[(phone, None)] += 1
+                err = 1
+            else:
+                err = 0
+            if is_unseen:
+                result.unseen_errors += err
+            else:
+                result.seen_errors += err
+        if last_class_unseen:
+            result.unseen_errors += pending_ins
+        else:
+            result.seen_errors += pending_ins
+    return result
+
+
+class TestChargingMatchesReference:
+    PHONES = ("a", "b", "c", "d")
+
+    def _utterance(self, model, ref, hyp):
+        """An utterance whose reference is `ref` and whose greedy decode is `hyp`."""
+        frames = _frames_for(model, hyp) if len(hyp) else 5.0 * np.eye(model.n_units)[:1]
+        return Utterance(frames=frames, phones=tuple(ref), language_id="L")
+
+    @pytest.mark.parametrize("ref, hyp", [
+        ("", "ab"), ("", ""), ("a", ""), ("ab", "cdab"), ("ab", "abcd"), ("ab", "cabd"),
+        ("abc", "dadbdcd"), ("abcd", "bd"),
+    ], ids=["empty_ref", "both_empty", "empty_hyp", "leading", "trailing", "both_ends", "interleaved", "deletions"])
+    @pytest.mark.parametrize(
+        "unseen", [set(), {"a"}, {"b"}, {"a", "c"}, set(PHONES)], ids=["none", "a", "b", "a_c", "all"]
+    )
+    def test_edge_cases(self, ref, hyp, unseen):
+        model = _manual_model(self.PHONES, emit=True)
+        utts = [self._utterance(model, ref, hyp)]
+        assert evaluate(model, utts, unseen) == reference_evaluate(model, utts, unseen)
+
+    def test_random_decodes_and_unseen_sets(self):
+        rng = np.random.default_rng(11)
+        model = _manual_model(self.PHONES, emit=True)
+
+        def phones(max_len):
+            return [str(p) for p in rng.choice(self.PHONES, size=rng.integers(0, max_len + 1))]
+
+        for _ in range(60):
+            unseen = {p for p in self.PHONES if rng.random() < 0.5}
+            utts = [self._utterance(model, phones(7), phones(7)) for _ in range(4)]
+            # noise frames decode to anything, special tokens included
+            frames = rng.normal(0, 3, size=(int(rng.integers(1, 12)), model.n_units))
+            utts.append(Utterance(frames=frames, phones=tuple(phones(4)), language_id="L"))
+            assert evaluate(model, utts, unseen) == reference_evaluate(model, utts, unseen)
 
 
 class TestExport:

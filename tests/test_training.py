@@ -80,7 +80,7 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("batch_size", 0), ("batch_size", -3), ("max_epochs", 0), ("max_epochs", -1),
-        ("lr", math.inf), ("lr", math.nan),
+        ("lr", math.inf), ("lr", math.nan), ("loss", "bogus"), ("lm_order", 0), ("lm_order", 3),
     ])
     def test_nonsense_sizes_rejected(self, field, value):
         with pytest.raises(InvalidTrainConfig, match=field):
@@ -210,6 +210,15 @@ def test_embeddings_computed_once_per_update_and_pass(loss, monkeypatch):
     assert len(evaluations) == len(report.dev_per) == 3
     # once per Adam step, once per dev-loss pass, once per evaluate call
     assert len(embedded) == len(steps) + len(report.dev_loss) + len(evaluations)
+
+
+@pytest.mark.parametrize("held_out", [True, False], ids=["dev_set", "no_dev_set"])
+def test_each_utterance_checked_once_per_train(held_out, monkeypatch):
+    model, utts = make_setup()
+    checked = count_calls(monkeypatch, training, "check_labels")
+    train_set, dev_set = (utts[:8], utts[8:]) if held_out else (utts, [])
+    train(model, train_set, dev_set, TrainConfig(max_epochs=3))
+    assert len(checked) == len(train_set) + len(dev_set)
 
 
 def test_evaluate_computes_embeddings_once(monkeypatch):
