@@ -3,8 +3,9 @@
 The blank unit is fixed at index 0.  All lattice arithmetic is carried out in
 the natural-log domain with pairwise logaddexp; there is no probability-domain
 fallback.  The forward and backward recursions run as the two rows of one
-loop over frames.  The gradient returned is with respect to the raw logits,
-i.e. the softmax Jacobian is already folded in (each row of dZ sums to zero).
+loop over frames, three ufunc calls per frame.  The gradient returned is with
+respect to the raw logits, i.e. the softmax Jacobian is already folded in
+(each row of dZ sums to zero).
 """
 
 from __future__ import annotations
@@ -69,22 +70,27 @@ def ctc_label_counts(logy: np.ndarray, labels):
     Shared by the CTC loss and the CTC-CRF numerator; labels are non-empty.
     The lattice is blk l1 blk ... lL blk.  Row 0 runs it forward; row 1 runs
     it with states and frames reversed, which is the backward pass.  Each
-    frame is one stay/advance/skip step for both rows.
+    frame is one stay/advance/skip step for both rows in three ufunc calls:
+    the skip is a logaddexp masked to the states it may enter.
     """
     T, N = logy.shape
     S = 2 * len(labels) + 1
     aug = np.full(S, BLANK)
     aug[1::2] = labels
     emit = logy[:, aug]
-    em = np.stack([emit, emit[::-1, ::-1]], axis=1)
+    em = np.empty((T, 2, S))
+    em[:, 0] = emit
+    em[:, 1] = emit[::-1, ::-1]
 
     # skip from s-2 into a label allowed when it differs from the label before
-    skip = np.full((2, S), -np.inf)
-    skip[0, 3::2] = np.where(aug[3::2] != aug[1:-2:2], 0.0, -np.inf)
-    skip[1, 3::2] = skip[0, 3::2][::-1]
+    ok = np.zeros((2, S), dtype=bool)
+    ok[0, 3::2] = aug[3::2] != aug[1:-2:2]
+    ok[1, 3::2] = ok[0, 3::2][::-1]
 
-    # pre[t]: each row's value before frame t's emission (beta excludes it)
-    pre = np.full((T, 2, S), -np.inf)
+    # pre[t]: each row's value before frame t's emission (beta excludes it);
+    # only frame 0 is filled here, the loop writes every later pre[t] whole
+    pre = np.empty((T, 2, S))
+    pre[0] = -np.inf
     pre[0, :, :2] = 0.0
     buf = np.full((2, S + 2), -np.inf)  # two -inf columns ahead of the states
     stay, move, jump = buf[:, 2:], buf[:, 1:-1], buf[:, :-2]
@@ -92,7 +98,7 @@ def ctc_label_counts(logy: np.ndarray, labels):
     for t in range(1, T):
         p = pre[t]
         np.logaddexp(stay, move, out=p)
-        np.logaddexp(p, jump + skip, out=p)
+        np.logaddexp(p, jump, out=p, where=ok)
         np.add(p, em[t], out=stay)
 
     la = pre[:, 0] + emit

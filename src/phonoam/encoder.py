@@ -58,7 +58,7 @@ def encoder_forward(config: EncoderConfig, params: dict[str, np.ndarray], x: np.
         raise DimensionMismatch(f"frames must be T x {config.input_dim}, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("acoustic frames contain non-finite entries")
-    n_layers = len(config.layer_dims)
+    n_layers = len(config.hidden) + 1
 
     a = _splice(x, config.context)
     inputs = []  # input to each layer
@@ -79,7 +79,7 @@ def encoder_backward(
     dH: np.ndarray,
 ):
     """Exact parameter gradients for the cached forward pass."""
-    if cache.get("n_layers") != len(config.layer_dims):
+    if cache.get("n_layers") != len(config.hidden) + 1:
         raise StaleCache("cache does not match this encoder configuration")
     if dH.shape != cache["outputs"][-1].shape:
         raise StaleCache(f"dH shape {dH.shape} does not match cached forward")

@@ -112,10 +112,10 @@ def evaluate(
     """
     check_covered(model.unit_index(), utterances)
     units = model.units
-    E = embeddings(model)
+    emb = embeddings(model)
     result = EvalResult()
     for utt in utterances:
-        Z, _ = model_forward(model, utt.frames, E)
+        Z, _ = model_forward(model, utt.frames, emb)
         ref, hyp = utt.phones, [units[i] for i in greedy_decode(Z)]
         # one flag per reference phone, then one for the slot past the end
         charged_unseen = [p in unseen for p in ref]
@@ -144,7 +144,7 @@ def evaluate(
 
 def export_embeddings(head, P: np.ndarray, units, path) -> None:
     """Write one CSV row per unit: symbol followed by its embedding."""
-    E = compute_embeddings(head, P)
+    E, _ = compute_embeddings(head, P)
     if E.shape[0] != len(units):
         raise InventoryMismatch(f"{E.shape[0]} embedding rows for {len(units)} units")
     try:

@@ -8,6 +8,11 @@ Three head kinds produce the embedding matrix E (one row per unit):
 
 The phonology-driven heads carry no bias terms.
 
+Like the encoder, a head's forward pass returns its output with a cache for
+the backward pass: `compute_embeddings` gives (E, cache), where the cache is
+the nonlinear head's hidden layer sigma(P A1^T) and None for the other heads,
+and `head_backward` reads it instead of recomputing that layer.
+
 Logits are the dot products z[t, i] = <e_i, h_t> of embeddings with the
 acoustic encoder output; phone posteriors are the row-wise softmax.
 """
@@ -18,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteInput
+from .errors import DimensionMismatch, NonFiniteInput, StaleCache
 from .features import VECTOR_BITS
 
 
@@ -71,19 +76,21 @@ def make_nonlinear_head(width: int, rng: np.random.Generator, hidden: int = 512)
     return NonlinearHead(A1=_glorot(rng, hidden, VECTOR_BITS), A2=_glorot(rng, width, hidden))
 
 
-def compute_embeddings(head: Head, P: np.ndarray) -> np.ndarray:
-    """Embedding matrix E (N x H) for the units whose vectors are the rows of P."""
+def compute_embeddings(head: Head, P: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(E, cache): the N x H embedding matrix for the units whose vectors are
+    the rows of P, and what `head_backward` needs of this forward pass."""
     if isinstance(head, FlatHead):
         if P is not None and P.shape[0] != head.E.shape[0]:
             raise DimensionMismatch(
                 f"flat head has {head.E.shape[0]} rows, P has {P.shape[0]}"
             )
-        return head.E
+        return head.E, None
     if P.ndim != 2 or P.shape[1] != VECTOR_BITS:
         raise DimensionMismatch(f"P must be N x {VECTOR_BITS}, got {P.shape}")
     if isinstance(head, LinearHead):
-        return P @ head.A.T
-    return sigmoid(P @ head.A1.T) @ head.A2.T
+        return P @ head.A.T, None
+    hidden = sigmoid(P @ head.A1.T)
+    return hidden @ head.A2.T, hidden
 
 
 def logits(E: np.ndarray, H_seq: np.ndarray) -> np.ndarray:
@@ -111,8 +118,11 @@ def log_posteriors(Z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def head_backward(head: Head, P: np.ndarray, dE: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss w.r.t. head parameters, given dL/dE."""
+def head_backward(
+    head: Head, P: np.ndarray, cache: np.ndarray | None, dE: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Gradients of a scalar loss w.r.t. head parameters, given dL/dE and the
+    cache of `compute_embeddings` for the current parameters."""
     if isinstance(head, FlatHead):
         if dE.shape != head.E.shape:
             raise DimensionMismatch(f"dE shape {dE.shape} != E shape {head.E.shape}")
@@ -121,9 +131,10 @@ def head_backward(head: Head, P: np.ndarray, dE: np.ndarray) -> dict[str, np.nda
         raise DimensionMismatch(f"dE rows {dE.shape[0]} != P rows {P.shape[0]}")
     if isinstance(head, LinearHead):
         return {"A": dE.T @ P}
-    hidden = sigmoid(P @ head.A1.T)
-    d_pre = (dE @ head.A2) * (hidden * (1.0 - hidden))
-    return {"A1": d_pre.T @ P, "A2": dE.T @ hidden}
+    if cache is None or cache.shape != (P.shape[0], head.A1.shape[0]):
+        raise StaleCache("cache does not hold this head's hidden layer for P")
+    d_pre = (dE @ head.A2) * (cache * (1.0 - cache))
+    return {"A1": d_pre.T @ P, "A2": dE.T @ cache}
 
 
 def head_params(head: Head) -> dict[str, np.ndarray]:

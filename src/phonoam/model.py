@@ -3,10 +3,12 @@
 Parameters live in a flat name -> array dict with "enc." and "head."
 prefixes, which keeps the optimizer, checksumming and checkpoints generic.
 
-The embeddings E depend only on the head's parameters, so a caller that runs
-many utterances between parameter updates computes them once with
-`embeddings(model)` and passes them to `model_forward` or
-`model_loss_and_grads`; either computes them itself when they are not given.
+The embeddings E, and the head's cache that its backward pass reads (the
+nonlinear head's hidden layer), depend only on the head's parameters.  So a
+caller that runs many utterances between parameter updates computes them once
+with `embeddings(model)` and passes that (E, head cache) pair to
+`model_forward` or `model_loss_and_grads`; either computes it itself when it
+is not given.
 """
 
 from __future__ import annotations
@@ -149,21 +151,24 @@ def extend_model(
     )
 
 
-def embeddings(model: AcousticModel) -> np.ndarray:
-    """The N x H embedding matrix of the model's current parameters."""
+def embeddings(model: AcousticModel) -> tuple[np.ndarray, np.ndarray | None]:
+    """(E, head cache) of the model's current parameters; E is N x H."""
     return compute_embeddings(model.head, model.P)
 
 
-def model_forward(model: AcousticModel, frames: np.ndarray, E: np.ndarray | None = None):
+def model_forward(
+    model: AcousticModel,
+    frames: np.ndarray,
+    emb: tuple[np.ndarray, np.ndarray | None] | None = None,
+):
     """Returns (Z, cache) where Z is the T x N logit matrix.
 
-    E, if given, must be `embeddings(model)` of the current parameters.
+    emb, if given, must be `embeddings(model)` of the current parameters.
     """
     H_seq, enc_cache = encoder_forward(model.encoder_config, model.encoder_params, frames)
-    if E is None:
-        E = embeddings(model)
+    E, head_cache = embeddings(model) if emb is None else emb
     Z = logits(E, H_seq)
-    return Z, {"enc": enc_cache, "H_seq": H_seq, "E": E}
+    return Z, {"enc": enc_cache, "H_seq": H_seq, "E": E, "head": head_cache}
 
 
 def model_loss_and_grads(
@@ -173,13 +178,13 @@ def model_loss_and_grads(
     loss: str = "ctc",
     lm: PhoneLM | None = None,
     graph: DenominatorGraph | None = None,
-    E: np.ndarray | None = None,
+    emb: tuple[np.ndarray, np.ndarray | None] | None = None,
 ):
     """One utterance: (nll, grads dict) with exact analytic gradients.
 
-    E, if given, must be `embeddings(model)` of the current parameters.
+    emb, if given, must be `embeddings(model)` of the current parameters.
     """
-    Z, cache = model_forward(model, frames, E)
+    Z, cache = model_forward(model, frames, emb)
     if loss == "ctc":
         result = ctc_mod.ctc_loss(Z, labels)
     elif loss == "ctc_crf":
@@ -191,7 +196,7 @@ def model_loss_and_grads(
     dH = dZ @ cache["E"]
     dE = dZ.T @ cache["H_seq"]
     enc_grads = encoder_backward(model.encoder_config, model.encoder_params, cache["enc"], dH)
-    h_grads = head_backward(model.head, model.P, dE)
+    h_grads = head_backward(model.head, model.P, cache["head"], dE)
     grads = {f"enc.{k}": v for k, v in enc_grads.items()}
     grads.update({f"head.{k}": v for k, v in h_grads.items()})
     return result.nll, grads

@@ -5,10 +5,12 @@ whenever the dev loss stops improving by more than MIN_DELTA for PATIENCE
 epochs, stopping once the rate drops below LR_FLOOR (1e-5).  An epoch whose
 dev loss is NaN (every dev utterance infeasible) leaves the schedule as is.
 
-The embeddings depend only on the parameters, so `train` computes them once
-per optimizer step and once per dev-loss pass, and `evaluate` once per call;
-every utterance of a batch or a pass shares them.  Likewise each utterance's
-phones are mapped to labels and checked once per `train` call, not per epoch.
+The embeddings and the nonlinear head's hidden layer depend only on the
+parameters, so `train` computes them once per optimizer step and once per
+dev-loss pass, and `evaluate` once per call; every utterance of a batch or a
+pass shares them, in its forward and its backward pass.  Likewise each
+utterance's phones are mapped to labels and checked once per `train` call,
+not per epoch.
 """
 
 from __future__ import annotations
@@ -139,8 +141,8 @@ def _feasible(utts, index: dict[str, int], n_units: int) -> list[tuple[Utterance
 
 
 def _mean_loss(model, pairs, loss, lm, graph) -> float:
-    E = embeddings(model)
-    losses = [model_loss_and_grads(model, u.frames, labels, loss, lm, graph, E)[0] for u, labels in pairs]
+    emb = embeddings(model)
+    losses = [model_loss_and_grads(model, u.frames, labels, loss, lm, graph, emb)[0] for u, labels in pairs]
     return float(np.mean(losses)) if losses else float("nan")
 
 
@@ -197,9 +199,9 @@ def train(
         for start in range(0, len(usable), config.batch_size):
             batch = [usable[i] for i in order[start : start + config.batch_size]]
             acc: dict[str, np.ndarray] = {k: np.zeros_like(p) for k, p in params.items()}
-            E = embeddings(model)
+            emb = embeddings(model)
             for utt, labels in batch:
-                nll, grads = model_loss_and_grads(model, utt.frames, labels, config.loss, lm, graph, E)
+                nll, grads = model_loss_and_grads(model, utt.frames, labels, config.loss, lm, graph, emb)
                 epoch_losses.append(nll)
                 for k, g in grads.items():
                     acc[k] += g

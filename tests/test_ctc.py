@@ -166,6 +166,23 @@ class TestLabelCountsMatchReference:
             T = tight_length(labels) + int(rng.integers(0, 20))
             self.assert_same(rng.normal(0, scale, size=(T, N)), labels)
 
+    @pytest.mark.parametrize("scale", [0.5, 3.0, 30.0, 400.0])
+    def test_small_alphabets_repeat_labels(self, scale):
+        # with two or three units most lattices hold an adjacent repeat,
+        # whose skip transition the mask must block
+        rng = np.random.default_rng(int(scale * 10) + 1)
+        with_repeats = 0
+        for _ in range(60):
+            units = int(rng.integers(2, 4))
+            T = int(rng.integers(6, 23))
+            labels = [int(rng.integers(1, units + 1)) for _ in range(int(rng.integers(2, 8)))]
+            while tight_length(labels) > T:
+                labels.pop()
+            with_repeats += tight_length(labels) > len(labels)
+            N = units + 1 + int(rng.integers(0, 3))
+            self.assert_same(rng.normal(0, scale, size=(T, N)), labels)
+        assert with_repeats > 30
+
     @pytest.mark.parametrize("scale", [0.5, 30.0, 400.0])
     @pytest.mark.parametrize(
         "labels",

@@ -336,7 +336,7 @@ class TestExport:
         units = ["u0", "u1", "u2", "u3"]
         path = tmp_path / "emb.csv"
         export_embeddings(head, P, units, path)
-        E = compute_embeddings(head, P)
+        E, _ = compute_embeddings(head, P)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert [r[0] for r in rows] == units

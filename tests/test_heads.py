@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phonoam.errors import DimensionMismatch
+from phonoam.errors import DimensionMismatch, StaleCache
 from phonoam.features import VECTOR_BITS
 from phonoam.heads import (
     LinearHead,
@@ -26,8 +26,8 @@ def random_P(n):
 class TestComputeEmbeddings:
     def test_linear_zero_matrix_gives_zero_embeddings(self):
         head = LinearHead(A=np.zeros((4, VECTOR_BITS)))
-        E = compute_embeddings(head, random_P(5))
-        assert np.all(E == 0)
+        E, cache = compute_embeddings(head, random_P(5))
+        assert np.all(E == 0) and cache is None
         # all-zero embeddings give uniform posteriors downstream
         Z = logits(E, RNG.normal(size=(3, 4)))
         assert np.allclose(posteriors(Z), 0.2)
@@ -38,20 +38,21 @@ class TestComputeEmbeddings:
         A = np.zeros((2, VECTOR_BITS))
         A[0, :3] = [1, 2, 3]
         A[1, :3] = [0, 1, 0]
-        E = compute_embeddings(LinearHead(A=A), p[None, :])
+        E, _ = compute_embeddings(LinearHead(A=A), p[None, :])
         assert np.allclose(E, [[4.0, 0.0]])
 
     def test_nonlinear_sigmoid_at_zero(self):
         dh = 3
         head = NonlinearHead(A1=np.zeros((dh, VECTOR_BITS)), A2=2.0 * np.eye(dh))
-        E = compute_embeddings(head, random_P(2))
+        E, hidden = compute_embeddings(head, random_P(2))
         assert np.allclose(E, 1.0)  # sigmoid(0) = 0.5, doubled
+        assert np.array_equal(hidden, np.full((2, dh), 0.5))
 
     def test_flat_ignores_P(self):
         head = make_flat_head(4, 8, RNG)
-        assert np.array_equal(
-            compute_embeddings(head, random_P(4)), compute_embeddings(head, None)
-        )
+        E, cache = compute_embeddings(head, random_P(4))
+        assert E is head.E and cache is None
+        assert compute_embeddings(head, None)[0] is head.E
 
     def test_flat_row_count_checked(self):
         head = make_flat_head(4, 8, RNG)
@@ -62,8 +63,10 @@ class TestComputeEmbeddings:
         head = make_nonlinear_head(6, RNG, hidden=5)
         P = random_P(7)
         perm = RNG.permutation(7)
-        E = compute_embeddings(head, P)
-        assert np.allclose(compute_embeddings(head, P[perm]), E[perm])
+        E, hidden = compute_embeddings(head, P)
+        E_perm, hidden_perm = compute_embeddings(head, P[perm])
+        assert np.allclose(E_perm, E[perm])
+        assert np.allclose(hidden_perm, hidden[perm])
 
 
 def masked_sigmoid(x):
@@ -142,19 +145,20 @@ class TestBackward:
         head = make_linear_head(5, RNG)
         P = random_P(6)
         dE = RNG.normal(size=(6, 5))
-        grads = head_backward(head, P, dE)
+        grads = head_backward(head, P, None, dE)
         assert np.allclose(grads["A"], dE.T @ P)
 
     def test_flat_passthrough(self):
         head = make_flat_head(6, 5, RNG)
         dE = RNG.normal(size=(6, 5))
-        assert head_backward(head, None, dE)["E"] is dE
+        assert head_backward(head, None, None, dE)["E"] is dE
 
     def test_nonlinear_finite_differences(self):
         head = make_nonlinear_head(4, RNG, hidden=3)
         P = random_P(5)
         dE = RNG.normal(size=(5, 4))
-        grads = head_backward(head, P, dE)
+        _, hidden = compute_embeddings(head, P)
+        grads = head_backward(head, P, hidden, dE)
         assert set(grads) == {"A1", "A2"}
         eps = 1e-6
         for name in ("A1", "A2"):
@@ -162,10 +166,19 @@ class TestBackward:
             for idx in np.ndindex(*param.shape):
                 orig = param[idx]
                 param[idx] = orig + eps
-                up = float((compute_embeddings(head, P) * dE).sum())
+                up = float((compute_embeddings(head, P)[0] * dE).sum())
                 param[idx] = orig - eps
-                down = float((compute_embeddings(head, P) * dE).sum())
+                down = float((compute_embeddings(head, P)[0] * dE).sum())
                 param[idx] = orig
                 fd = (up - down) / (2 * eps)
                 rel = abs(fd - grads[name][idx]) / max(abs(fd), abs(grads[name][idx]), 1e-8)
                 assert rel < 1e-4, (name, idx)
+
+    def test_nonlinear_needs_the_hidden_layer_of_this_P(self):
+        head = make_nonlinear_head(4, RNG, hidden=3)
+        P = random_P(5)
+        dE = RNG.normal(size=(5, 4))
+        _, fewer_rows = compute_embeddings(head, P[:4])
+        for cache in (None, fewer_rows):
+            with pytest.raises(StaleCache):
+                head_backward(head, P, cache, dE)

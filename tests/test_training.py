@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from phonoam import heads as heads_mod
 from phonoam import model as model_mod
 from phonoam import training
 from phonoam.corpus import SynthLanguageSpec, Utterance, generate_language, make_emission_map
@@ -210,6 +211,18 @@ def test_embeddings_computed_once_per_update_and_pass(loss, monkeypatch):
     assert len(evaluations) == len(report.dev_per) == 3
     # once per Adam step, once per dev-loss pass, once per evaluate call
     assert len(embedded) == len(steps) + len(report.dev_loss) + len(evaluations)
+
+
+@pytest.mark.parametrize("loss", ["ctc", "ctc_crf"])
+def test_hidden_layer_computed_once_per_embedding(loss, monkeypatch):
+    # the backward pass reads the nonlinear head's hidden layer from the
+    # embeddings' cache instead of running the sigmoid again per utterance
+    model, utts = make_setup(head="nonlinear")
+    embedded = count_calls(monkeypatch, model_mod, "compute_embeddings")
+    hidden = count_calls(monkeypatch, heads_mod, "sigmoid")
+    train(model, utts[:10], utts[10:], TrainConfig(loss=loss, max_epochs=2, batch_size=3))
+    assert len(embedded) > 0
+    assert len(hidden) == len(embedded)
 
 
 @pytest.mark.parametrize("held_out", [True, False], ids=["dev_set", "no_dev_set"])
