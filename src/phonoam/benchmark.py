@@ -2,6 +2,12 @@
 language with unseen phones, mirroring a 4-training-language setup with an
 18-phone shared core and a held-out inventory about one third unseen.
 
+The world's shape is fixed by module constants, not by `BenchmarkConfig`:
+N_TRAIN_LANGUAGES training languages, each the SHARED_CORE phones plus
+UNIQUE_PER_LANGUAGE of its own; a held-out language of HELDOUT_SEEN phones
+seen in training and HELDOUT_UNSEEN unseen ones; LENGTH_RANGE phones per
+utterance.
+
 All randomness is derived from a single benchmark seed, so a full run is a
 pure function of (config, seed) and report files are byte-reproducible.
 """
@@ -23,16 +29,18 @@ from .evaluate import EvalResult, evaluate
 from .training import TrainConfig, finetune, train_multilingual
 
 
+N_TRAIN_LANGUAGES = 4
+SHARED_CORE = 18
+UNIQUE_PER_LANGUAGE = 12
+HELDOUT_SEEN = 20
+HELDOUT_UNSEEN = 10
+LENGTH_RANGE = (3, 6)
+
+
 @dataclass(frozen=True)
 class BenchmarkConfig:
-    n_train_languages: int = 4
-    shared_core: int = 18
-    unique_per_language: int = 12
-    heldout_seen: int = 20
-    heldout_unseen: int = 10
     input_dim: int = 16
     duration_range: tuple[int, int] = (2, 4)
-    length_range: tuple[int, int] = (3, 6)
     noise_std: float = 0.15
     offset_std: float = 0.1
     train_utterances: int = 40
@@ -65,7 +73,7 @@ def make_feature_table(n_phones: int, rng: np.random.Generator) -> FeatureTable:
         seen.add(marks)
         rows[f"ph{i:03d}"] = marks
         i += 1
-    return FeatureTable(feature_names=CANONICAL_FEATURES, rows=rows)
+    return FeatureTable(rows=rows)
 
 
 @dataclass
@@ -81,20 +89,15 @@ class BenchmarkWorld:
 
 def build_world(config: BenchmarkConfig, seed: int) -> BenchmarkWorld:
     rng = np.random.default_rng([seed, 0xB5EED])
-    total = (
-        config.shared_core
-        + config.n_train_languages * config.unique_per_language
-        + config.heldout_unseen
-    )
-    table = make_feature_table(total, rng)
+    table = make_feature_table(SHARED_CORE + N_TRAIN_LANGUAGES * UNIQUE_PER_LANGUAGE + HELDOUT_UNSEEN, rng)
     phones = table.phones()
-    core = phones[: config.shared_core]
-    pos = config.shared_core
+    core = phones[:SHARED_CORE]
+    pos = SHARED_CORE
     train_inventories = []
     uniques_all: list[str] = []
-    for i in range(config.n_train_languages):
-        uniq = phones[pos : pos + config.unique_per_language]
-        pos += config.unique_per_language
+    for i in range(N_TRAIN_LANGUAGES):
+        uniq = phones[pos : pos + UNIQUE_PER_LANGUAGE]
+        pos += UNIQUE_PER_LANGUAGE
         uniques_all.extend(uniq)
         train_inventories.append(
             LanguageInventory(language_id=f"L{i + 1}", phones=tuple(core + uniq))
@@ -103,8 +106,8 @@ def build_world(config: BenchmarkConfig, seed: int) -> BenchmarkWorld:
 
     # held-out language: part of the core, some borrowed uniques, plus the
     # genuinely unseen phones
-    n_from_core = min(config.heldout_seen, config.shared_core)
-    borrowed = config.heldout_seen - n_from_core
+    n_from_core = min(HELDOUT_SEEN, SHARED_CORE)
+    borrowed = HELDOUT_SEEN - n_from_core
     heldout_phones = core[:n_from_core] + uniques_all[:borrowed] + unseen
     heldout_inventory = LanguageInventory(language_id="target", phones=tuple(heldout_phones))
 
@@ -117,7 +120,7 @@ def build_world(config: BenchmarkConfig, seed: int) -> BenchmarkWorld:
             duration_range=config.duration_range,
             noise_std=config.noise_std,
             offset_std=config.offset_std,
-            length_range=config.length_range,
+            length_range=LENGTH_RANGE,
             utterance_count=config.train_utterances,
             seed=int(rng.integers(2**31)),
         )
@@ -129,7 +132,7 @@ def build_world(config: BenchmarkConfig, seed: int) -> BenchmarkWorld:
         duration_range=config.duration_range,
         noise_std=config.noise_std,
         offset_std=config.offset_std,
-        length_range=config.length_range,
+        length_range=LENGTH_RANGE,
         utterance_count=config.heldout_pool + config.heldout_test,
         seed=int(rng.integers(2**31)),
     )

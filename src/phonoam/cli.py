@@ -212,6 +212,23 @@ def cmd_selftest(args) -> int:
     return 0 if run_selftest(seed=args.seed) else 2
 
 
+def _int_at_least(lo: int):
+    """argparse type for an integer >= lo; a smaller one is a usage error (exit 1)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" message for non-integers
+    return parse
+
+
+SEED = _int_at_least(0)  # NumPy seeds are non-negative
+COUNT = _int_at_least(1)
+
+
 DETERMINISTIC_HELP = "accepted for compatibility: every run is deterministic for a given --seed"
 
 
@@ -246,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--utterances", type=int, default=40)
     p.add_argument("--noise-std", type=float, default=0.3)
     p.add_argument("--offset-std", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=SEED, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -256,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lr", type=float, default=1e-3)
         p.add_argument("--batch-size", type=int, default=8)
         p.add_argument("--epochs", type=int, default=15)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=SEED, default=0)
         p.add_argument("--deterministic", action="store_true", help=DETERMINISTIC_HELP)
 
     p = sub.add_parser("train", help="multilingual training")
@@ -277,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--mode", choices=["auto", "phonology", "random", "mean_of_seen"], default="auto")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=SEED, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_extend)
 
@@ -302,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run the synthetic benchmark")
     p.add_argument("mode", choices=["zero-shot", "few-shot", "multilingual"])
     p.add_argument("--head", choices=[*sorted(HEAD_KINDS), "all"], default="all")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", type=int, default=1)
+    p.add_argument("--seed", type=SEED, default=0)
+    p.add_argument("--seeds", type=COUNT, default=1)
     p.add_argument("--deterministic", action="store_true", help=DETERMINISTIC_HELP)
     p.add_argument("--summary", action="store_true",
                    help="after the records, print median PER, seen and unseen PER per head and condition")
@@ -311,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("selftest", help="gradient checks and exact oracles")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=SEED, default=0)
     p.set_defaults(func=cmd_selftest)
 
     return parser

@@ -11,11 +11,12 @@ phonology-driven embedding head can exploit and a flat head cannot.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IoFailure, UnknownPhone
+from .errors import InvalidSynthSpec, IoFailure, UnknownPhone
 from .features import VECTOR_BITS, FeatureTable, encode_phone
 
 
@@ -30,6 +31,13 @@ class SynthLanguageSpec:
     utterance_count: int = 40
     seed: int = 0
 
+    def __post_init__(self):
+        if self.utterance_count < 1:
+            raise InvalidSynthSpec(f"utterance_count must be >= 1, got {self.utterance_count}")
+        for name in ("noise_std", "offset_std"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise InvalidSynthSpec(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+
 
 @dataclass
 class Utterance:
@@ -40,6 +48,8 @@ class Utterance:
 
 def make_emission_map(D: int, seed: int) -> np.ndarray:
     """Shared D x 51 Gaussian map from phonological-vectors to prototypes."""
+    if D < 1:
+        raise InvalidSynthSpec(f"the acoustic dimension D must be >= 1, got {D}")
     rng = np.random.default_rng(seed)
     return rng.normal(0.0, 1.0 / np.sqrt(VECTOR_BITS), size=(D, VECTOR_BITS))
 
@@ -96,7 +106,7 @@ def save_corpus(utterances: list[Utterance], path) -> None:
                 rec = {
                     "language": u.language_id,
                     "labels": [index[p] for p in u.phones],
-                    "frames": [[float(v) for v in row] for row in u.frames],
+                    "frames": u.frames.tolist(),
                 }
                 fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
     except OSError as exc:

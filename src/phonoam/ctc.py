@@ -26,12 +26,12 @@ class CtcResult:
     dZ: np.ndarray
 
 
-def collapse(path, blank: int = BLANK) -> list[int]:
+def collapse(path) -> list[int]:
     """Merge consecutive duplicates, then drop blanks (the standard B map)."""
     out: list[int] = []
     prev = None
     for s in path:
-        if s != prev and s != blank:
+        if s != prev and s != BLANK:
             out.append(s)
         prev = s
     return out

@@ -56,7 +56,7 @@ def encoder_forward(config: EncoderConfig, params: dict[str, np.ndarray], x: np.
     """Run the encoder over T x D frames; returns (H_seq, cache)."""
     if x.ndim != 2 or x.shape[1] != config.input_dim:
         raise DimensionMismatch(f"frames must be T x {config.input_dim}, got {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteInput("acoustic frames contain non-finite entries")
     n_layers = len(config.hidden) + 1
 

@@ -53,6 +53,10 @@ class InvalidTrainConfig(PhonoamError, ValueError):
     pass
 
 
+class InvalidSynthSpec(PhonoamError, ValueError):
+    pass
+
+
 # sequence losses
 class InfeasibleLength(PhonoamError):
     pass

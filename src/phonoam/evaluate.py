@@ -10,8 +10,7 @@ then insertion.
 from __future__ import annotations
 
 import csv
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,7 +72,6 @@ class EvalResult:
     seen_len: int = 0
     unseen_errors: int = 0
     unseen_len: int = 0
-    confusions: Counter = field(default_factory=Counter)
 
     @property
     def per(self) -> float:
@@ -123,20 +121,19 @@ def evaluate(
         result.unseen_len += sum(charged_unseen)
         charged_unseen.append(charged_unseen[-1] if ref else False)
         next_ri = 0  # the reference phone an insertion here is charged to
-        for op, ri, hj in align(ref, hyp):
+        for op, ri, _ in align(ref, hyp):
             if op == "ins":
                 result.insertions += 1
                 result.unseen_errors += charged_unseen[next_ri]
                 continue
             next_ri = ri + 1
+            if op == "match":
+                continue
             if op == "sub":
                 result.substitutions += 1
-                result.confusions[(ref[ri], hyp[hj])] += 1
-                result.unseen_errors += charged_unseen[ri]
-            elif op == "del":
+            else:
                 result.deletions += 1
-                result.confusions[(ref[ri], None)] += 1
-                result.unseen_errors += charged_unseen[ri]
+            result.unseen_errors += charged_unseen[ri]
     result.seen_len = result.ref_len - result.unseen_len
     result.seen_errors = result.substitutions + result.insertions + result.deletions - result.unseen_errors
     return result

@@ -77,9 +77,8 @@ SPECIAL_SYMBOLS = {
 
 @dataclass(frozen=True)
 class FeatureTable:
-    """Immutable phone -> 24 ternary feature marks mapping."""
+    """Immutable phone -> 24 ternary feature marks mapping, in CANONICAL_FEATURES order."""
 
-    feature_names: tuple[str, ...]
     rows: dict[str, tuple[str, ...]]
 
     def __contains__(self, phone: str) -> bool:
@@ -138,7 +137,7 @@ def parse_feature_table(text: str) -> FeatureTable:
         else:
             seen[marks] = phone
 
-    return FeatureTable(feature_names=names, rows=rows)
+    return FeatureTable(rows=rows)
 
 
 def load_feature_table(path) -> FeatureTable:

@@ -104,7 +104,7 @@ def logits(E: np.ndarray, H_seq: np.ndarray) -> np.ndarray:
 
 def posteriors(Z: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction."""
-    if not np.all(np.isfinite(Z)):
+    if not np.isfinite(Z).all():
         raise NonFiniteInput("logits contain non-finite entries")
     shifted = Z - Z.max(axis=-1, keepdims=True)
     ex = np.exp(shifted)
@@ -112,7 +112,7 @@ def posteriors(Z: np.ndarray) -> np.ndarray:
 
 
 def log_posteriors(Z: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(Z)):
+    if not np.isfinite(Z).all():
         raise NonFiniteInput("logits contain non-finite entries")
     shifted = Z - Z.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))

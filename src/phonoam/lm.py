@@ -35,7 +35,6 @@ from .errors import EmptyCorpus
 @dataclass
 class PhoneLM:
     order: int
-    vocab: tuple[int, ...]  # unit indices, blank excluded
     log_next: np.ndarray  # contexts x units
     log_cont: np.ndarray  # per context
     log_stop: np.ndarray  # per context
@@ -98,4 +97,4 @@ def train_phone_lm(
     log_next[:, ~in_vocab] = -np.inf
     seen = n_cont + n_stop > 0
     log_cont[~seen] = log_stop[~seen] = np.log(0.5)
-    return PhoneLM(order=order, vocab=vocab, log_next=log_next, log_cont=log_cont, log_stop=log_stop)
+    return PhoneLM(order=order, log_next=log_next, log_cont=log_cont, log_stop=log_stop)

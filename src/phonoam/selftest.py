@@ -80,15 +80,14 @@ def _random_instance(rng, t_max=4, n_max=4, l_max=2):
     return Z, labels
 
 
-def run_selftest(seed: int = 0, verbose: bool = True) -> bool:
+def run_selftest(seed: int = 0) -> bool:
     rng = np.random.default_rng(seed)
     ok = True
 
     def report(name, passed, detail=""):
         nonlocal ok
         ok = ok and passed
-        if verbose:
-            print(f"{'PASS' if passed else 'FAIL'}  {name}  {detail}")
+        print(f"{'PASS' if passed else 'FAIL'}  {name}  {detail}")
 
     # CTC against brute force + finite differences
     worst_val, worst_grad = 0.0, 0.0

@@ -1,7 +1,8 @@
 import io
 import json
 import tracemalloc
-from contextlib import redirect_stderr
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import numpy as np
@@ -299,24 +300,33 @@ def central_directory_positions(data: bytes) -> list[int]:
     return out
 
 
+def damage(data, src, dst, positions=None) -> None:
+    """Write src to dst truncated, or with one to three bytes XOR-ed at drawn positions
+    (any byte, or one drawn from `positions` if given)."""
+    raw = bytearray(src.read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        if positions is None:
+            positions = st.integers(0, len(raw) - 1)
+        flips = data.draw(st.lists(st.tuples(positions, st.integers(1, 255)), min_size=1, max_size=3), label="flips")
+        for at, mask in flips:
+            raw[at] ^= mask
+    dst.write_bytes(bytes(raw))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_eval_on_damaged_files_exits_0_or_2(data, trained, workdir):
     """A truncated or byte-flipped checkpoint or corpus is read, or refused with exit 2."""
     kind = data.draw(st.sampled_from(["checkpoint", "corpus"]), label="file")
     src = trained if kind == "checkpoint" else workdir / "L1.jsonl"
-    raw = bytearray(src.read_bytes())
-    positions = st.integers(0, len(raw) - 1)
+    positions = None
     if kind == "checkpoint":  # zipfile reads each member's version, flags and sizes from here
-        positions = positions | st.sampled_from(central_directory_positions(raw))
-    if data.draw(st.booleans(), label="truncate"):
-        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
-    else:
-        flips = data.draw(st.lists(st.tuples(positions, st.integers(1, 255)), min_size=1, max_size=3), label="flips")
-        for at, mask in flips:
-            raw[at] ^= mask
+        raw = src.read_bytes()
+        positions = st.integers(0, len(raw) - 1) | st.sampled_from(central_directory_positions(raw))
     damaged = workdir / f"damaged{src.suffix}"
-    damaged.write_bytes(bytes(raw))
+    damage(data, src, damaged, positions)
     paths = {"checkpoint": trained, "corpus": workdir / "L1.jsonl", kind: damaged}
     code = main(["eval", "--checkpoint", str(paths["checkpoint"]), "--corpus", str(paths["corpus"])])
     assert code in (0, 2)
@@ -426,6 +436,43 @@ def test_bad_inventory_exits_2(doc, workdir, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+SMALL_TRAIN = ["--context", "1", "--hidden", "8", "--width", "8", "--head-hidden", "4", "--epochs", "1"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_damaged_inventory_exits_0_or_2(data, workdir):
+    """A truncated or byte-flipped inventory is read, or refused with exit 2, by every
+    command that loads inventories."""
+    bad = workdir / "damaged_inventory.json"
+    damage(data, workdir / "L1.json", bad)
+    features, corpus = str(workdir / "features.tsv"), str(workdir / "L1.jsonl")
+    for argv in (["phoneset", "stats", "--inventories", str(bad)],
+                 ["phoneset", "unseen", "--inventories", str(bad), "--target", str(workdir / "target.json")],
+                 ["train", "--features", features, "--inventories", str(bad), "--corpus", corpus, *SMALL_TRAIN,
+                  "--out", str(workdir / "damaged_inventory.npz")]):
+        with redirect_stderr(io.StringIO()), redirect_stdout(io.StringIO()):
+            assert main(argv) in (0, 2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_damaged_feature_table_exits_0_or_2(data, workdir):
+    """A truncated or byte-flipped feature table is read, or refused with exit 2, by
+    every command that loads one."""
+    bad = workdir / "damaged_features.tsv"
+    damage(data, workdir / "features.tsv", bad)
+    inventory, corpus = str(workdir / "L1.json"), str(workdir / "L1.jsonl")
+    for argv in (["encode", "--features", str(bad), "--phone", "d"],
+                 ["synth", "--features", str(bad), "--inventory", inventory, "--dim", "4", "--utterances", "2",
+                  "--out", str(workdir / "damaged_synth.jsonl")],
+                 ["train", "--features", str(bad), "--inventories", inventory, "--corpus", corpus, *SMALL_TRAIN,
+                  "--out", str(workdir / "damaged_features.npz")]):
+        with warnings.catch_warnings(), redirect_stderr(io.StringIO()), redirect_stdout(io.StringIO()):
+            warnings.simplefilter("ignore")  # a flip may make two phones' rows identical
+            assert main(argv) in (0, 2)
+
+
 def _corpus_lines(workdir):
     header, first, second = (workdir / "L1.jsonl").read_text(encoding="utf-8").splitlines()[:3]
     return header, json.loads(first), second
@@ -503,6 +550,43 @@ def test_train_nonsense_size_exits_2(flags, workdir, capsys):
     ])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--dim", "0"], ["--dim", "-3"], ["--utterances", "0"], ["--utterances", "-2"],
+    ["--noise-std", "-0.1"], ["--noise-std", "nan"], ["--noise-std", "inf"],
+    ["--offset-std", "-1"], ["--offset-std", "nan"], ["--offset-std", "inf"],
+], ids=lambda flags: "_".join(flags).lstrip("-"))
+def test_synth_nonsense_size_exits_2(flags, workdir, capsys):
+    out = workdir / "nonsense.jsonl"
+    code = main(["synth", "--features", str(workdir / "features.tsv"), "--inventory", str(workdir / "L1.json"),
+                 *flags, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("synth", ["--seed", "-1"]), ("train", ["--seed", "-1"]), ("extend", ["--seed", "-1"]),
+    ("finetune", ["--seed", "-1"]), ("bench", ["--seed", "-1"]), ("selftest", ["--seed", "-1"]),
+    ("bench", ["--seeds", "0"]), ("bench", ["--seeds", "-2"]),
+], ids=lambda x: x if isinstance(x, str) else "_".join(x).lstrip("-"))
+def test_negative_seed_or_no_seeds_is_a_usage_error(command, flags, trained, workdir, capsys):
+    out = workdir / "never_written"
+    argv = {
+        "synth": ["--features", str(workdir / "features.tsv"), "--inventory", str(workdir / "L1.json")],
+        "train": ["--features", str(workdir / "features.tsv"), "--inventories", str(workdir / "L1.json"),
+                  "--corpus", str(workdir / "L1.jsonl")],
+        "extend": ["--checkpoint", str(trained), "--features", str(workdir / "features.tsv"),
+                   "--target", str(workdir / "target.json")],
+        "finetune": ["--checkpoint", str(trained), "--corpus", str(workdir / "L1.jsonl")],
+        "bench": ["zero-shot"],
+        "selftest": [],
+    }[command]
+    code = main([command, *argv, *flags, *(["--out", str(out)] if command != "selftest" else [])])
+    assert code == 1
+    assert f"argument {flags[0]}: expected an integer >= " in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from phonoam.corpus import (
     SynthLanguageSpec,
+    Utterance,
     generate_language,
     load_corpus,
     make_emission_map,
@@ -109,3 +112,32 @@ def test_corpus_file_roundtrip(tmp_path):
         assert a.phones == b.phones
         assert a.language_id == b.language_id
         assert np.array_equal(a.frames, b.frames)
+
+
+def save_corpus_per_value(utterances, path):
+    """The former writer, converting every frame value with float() one at a time."""
+    symbols = sorted({p for u in utterances for p in u.phones})
+    index = {p: i for i, p in enumerate(symbols)}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"symbols": symbols}, ensure_ascii=False) + "\n")
+        for u in utterances:
+            rec = {
+                "language": u.language_id,
+                "labels": [index[p] for p in u.phones],
+                "frames": [[float(v) for v in row] for row in u.frames],
+            }
+            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+
+
+def test_save_corpus_writes_the_per_value_writers_bytes(tmp_path):
+    utts = generate_language(spec(), TABLE, make_emission_map(5, 2))
+    edge = np.array([
+        [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308],  # signed zeros, subnormals, smallest normal
+        [1e308, -1e308, 1.7976931348623157e308, 3.0, -2.0],  # near the float range, integer-valued
+        [1e16, 12345678901234567.0, 0.1, 1 / 3, 1e-7],
+    ])
+    utts.append(Utterance(frames=edge, phones=("d",), language_id="ɛdge"))
+    save_corpus(utts, tmp_path / "new.jsonl")
+    save_corpus_per_value(utts, tmp_path / "old.jsonl")
+    assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
+
