@@ -23,6 +23,7 @@ from .corpus import SynthLanguageSpec, Utterance, generate_language, make_emissi
 from .encoder import EncoderConfig
 from .errors import IoFailure
 from .features import CANONICAL_FEATURES, FeatureTable, SpecialToken, encode_inventory
+from .heads import HEAD_KINDS
 from .inventory import LanguageInventory, merge_inventories, unseen_phones
 from .model import build_model, extend_model
 from .evaluate import EvalResult, evaluate
@@ -56,9 +57,6 @@ class BenchmarkConfig:
     max_epochs: int = 40
     finetune_epochs: int = 30
     batch_size: int = 8
-
-
-HEAD_KINDS = ("flat", "linear", "nonlinear")
 
 
 def make_feature_table(n_phones: int, rng: np.random.Generator) -> FeatureTable:

@@ -2,11 +2,12 @@
 
 A file holds `model_params` with "." written as "__" (`enc__W0`, `head__A1`),
 the phonological-vectors `P`, and metadata: format version, encoder config,
-head kind, units and epoch.  The parameter layout lives only in `encoder`,
-`heads` and `model`: loading checks the metadata, builds the model that
-`build_model` makes from it, and applies one check to every `enc__*`,
-`head__*` and `P` array, which must be in both the file and that model, with
-equal shape and dtype, and finite.  One IoFailure names every array that fails.
+head kind, units and epoch.  The parameter layout lives only in the shape
+tables of `encoder`, `heads` and `model`: loading checks the metadata, then
+checks every `enc__*`, `head__*` and `P` array against `model_shapes` of that
+metadata: each must be in both the file and the table, with the same shape,
+dtype float64, and finite.  One IoFailure names every array that fails.  The
+model is then assembled from the file's arrays; loading draws no weights.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 from .encoder import EncoderConfig
 from .errors import IoFailure
 from .features import VECTOR_BITS
-from .heads import head_kind
-from .model import AcousticModel, build_model, model_params, set_model_params
+from .heads import HEAD_KINDS, head_kind
+from .model import AcousticModel, assemble_model, model_params, model_shapes
 
 FORMAT_VERSION = 1
 
@@ -78,7 +79,7 @@ def _read(path) -> tuple[dict, dict[str, np.ndarray]]:
 def _strip_removed_options(meta: dict) -> None:
     """Drop the metadata older files record of removed options; IoFailure if it
     changes the outputs.  Their arrays (`enc__R`, `head__b*`) are not in the
-    model `build_model` makes, so the array check refuses them by name."""
+    shape table, so the array check refuses them by name."""
     cfg = meta["encoder_config"]
     cfg.pop("dropout", None)  # older files carry the removed encoder dropout; it never ran
     for key, value in FIXED_ENCODER_OPTIONS.items():
@@ -123,30 +124,21 @@ def _build(meta: dict, arrays: dict[str, np.ndarray]) -> AcousticModel:
         raise IoFailure("checkpoint epoch must be an integer")
     cfg["hidden"] = tuple(cfg["hidden"])
     encoder_config = EncoderConfig(**cfg)
+    kind = meta["head_kind"]
+    if not (isinstance(kind, str) and kind in HEAD_KINDS):
+        raise IoFailure(f"checkpoint has unknown head kind {kind!r}")
     # a nonlinear head's hidden width is its A1's row count; an A1 with no rows
-    # is then refused by the array check, as build_model needs at least one
+    # is then refused by the array check, as a head needs at least one hidden unit
     a1 = arrays.get("head__A1")
     hidden = max(len(a1), 1) if a1 is not None and a1.ndim else 1
-    width, kind = encoder_config.output_dim, meta["head_kind"]
-    head_size = {
-        "flat": len(units) * width,
-        "linear": width * VECTOR_BITS,
-        "nonlinear": hidden * (VECTOR_BITS + width),
-    }
-    if not (isinstance(kind, str) and kind in head_size):
-        raise IoFailure(f"checkpoint has unknown head kind {kind!r}")
-    # build_model draws every weight before any array is compared: refuse a model larger than the file
-    drawn = sum(rows * cols for rows, cols in encoder_config.layer_dims) + head_size[kind]
-    if drawn > sum(a.size for a in arrays.values()):
-        raise IoFailure("checkpoint metadata describes a model with more weights than the file holds")
-    model = build_model(tuple(units), np.zeros((len(units), VECTOR_BITS)), encoder_config,
-                        head=kind, head_hidden=hidden)
-    expected = _file_arrays(model)
+    expected = {k.replace(".", "__"): shape
+                for k, shape in model_shapes(len(units), encoder_config, kind, hidden).items()}
+    expected["P"] = (len(units), VECTOR_BITS)
     found = {k: v for k, v in arrays.items() if k == "P" or k.startswith(("enc__", "head__"))}
     bad = sorted(
         k for k in expected.keys() | found.keys()
         if k not in expected or k not in found
-        or (found[k].shape, found[k].dtype) != (expected[k].shape, expected[k].dtype)
+        or (found[k].shape, found[k].dtype) != (expected[k], np.float64)
         or not np.isfinite(found[k]).all()
     )
     if bad:
@@ -154,6 +146,5 @@ def _build(meta: dict, arrays: dict[str, np.ndarray]) -> AcousticModel:
             f"checkpoint arrays {', '.join(bad)} do not match the model its metadata describes:"
             " each must be in both, with the same shape and dtype, and finite"
         )
-    model.P = found.pop("P")
-    set_model_params(model, {k.replace("__", ".", 1): v for k, v in found.items()})
-    return model
+    P = found.pop("P")
+    return assemble_model(units, P, encoder_config, kind, {k.replace("__", ".", 1): v for k, v in found.items()})

@@ -32,6 +32,8 @@ class SynthLanguageSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.inventory:
+            raise InvalidSynthSpec(f"inventory of {self.language_id!r} holds no phones")
         if self.utterance_count < 1:
             raise InvalidSynthSpec(f"utterance_count must be >= 1, got {self.utterance_count}")
         for name in ("noise_std", "offset_std"):

@@ -33,13 +33,12 @@ class EncoderConfig:
         return list(zip(widths[1:], widths[:-1]))
 
 
-def init_encoder(config: EncoderConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    params: dict[str, np.ndarray] = {}
+def encoder_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Parameter name -> shape: each layer's weights W{i} (out x in), then its bias b{i}."""
+    shapes: dict[str, tuple[int, ...]] = {}
     for i, (rows, cols) in enumerate(config.layer_dims):
-        limit = np.sqrt(6.0 / (rows + cols))
-        params[f"W{i}"] = rng.uniform(-limit, limit, size=(rows, cols))
-        params[f"b{i}"] = np.zeros(rows)
-    return params
+        shapes.update({f"W{i}": (rows, cols), f"b{i}": (rows,)})
+    return shapes
 
 
 def _splice(x: np.ndarray, w: int) -> np.ndarray:

@@ -45,11 +45,22 @@ class NonlinearHead:
 
 Head = FlatHead | LinearHead | NonlinearHead
 
+HEAD_TYPES = {"flat": FlatHead, "linear": LinearHead, "nonlinear": NonlinearHead}
+HEAD_KINDS = tuple(HEAD_TYPES)
+
 
 def head_kind(head: Head) -> str:
-    return {FlatHead: "flat", LinearHead: "linear", NonlinearHead: "nonlinear"}[
-        type(head)
-    ]
+    return {t: kind for kind, t in HEAD_TYPES.items()}[type(head)]
+
+
+def head_shapes(kind: str, n_units: int, width: int, hidden: int) -> dict[str, tuple[int, int]]:
+    """Field name -> shape of every matrix of a head of this kind, for N units,
+    embedding width H and (nonlinear head only) hidden width Dh."""
+    return {
+        "flat": {"E": (n_units, width)},
+        "linear": {"A": (width, VECTOR_BITS)},
+        "nonlinear": {"A1": (hidden, VECTOR_BITS), "A2": (width, hidden)},
+    }[kind]
 
 
 def sigmoid(x):
@@ -57,23 +68,6 @@ def sigmoid(x):
     ex = np.exp(-np.abs(x))
     denom = 1.0 + ex
     return np.where(x >= 0, 1.0 / denom, ex / denom)
-
-
-def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-limit, limit, size=(rows, cols))
-
-
-def make_flat_head(n_units: int, width: int, rng: np.random.Generator) -> FlatHead:
-    return FlatHead(E=_glorot(rng, n_units, width))
-
-
-def make_linear_head(width: int, rng: np.random.Generator) -> LinearHead:
-    return LinearHead(A=_glorot(rng, width, VECTOR_BITS))
-
-
-def make_nonlinear_head(width: int, rng: np.random.Generator, hidden: int = 512) -> NonlinearHead:
-    return NonlinearHead(A1=_glorot(rng, hidden, VECTOR_BITS), A2=_glorot(rng, width, hidden))
 
 
 def compute_embeddings(head: Head, P: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:

@@ -19,6 +19,10 @@ class LanguageInventory:
     def __post_init__(self):
         if len(set(self.phones)) != len(self.phones):
             raise DuplicatePhone(f"duplicate phones in inventory {self.language_id!r}")
+        reserved = sorted(set(self.phones) & set(SPECIAL_UNITS))
+        if reserved:
+            # every unit list starts with the special units, so the phone would be in it twice
+            raise DuplicatePhone(f"inventory {self.language_id!r} uses the reserved unit names {reserved}")
 
 
 @dataclass(frozen=True)

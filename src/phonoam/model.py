@@ -2,6 +2,8 @@
 
 Parameters live in a flat name -> array dict with "enc." and "head."
 prefixes, which keeps the optimizer, checksumming and checkpoints generic.
+`model_shapes` lists their shapes: `build_model` draws from it and a
+checkpoint is checked against it.
 
 The embeddings E, and the head's cache that its backward pass reads (the
 nonlinear head's hidden layer), depend only on the head's parameters.  So a
@@ -22,20 +24,20 @@ import numpy as np
 from . import ctc as ctc_mod
 from . import crf as crf_mod
 from .crf import DenominatorGraph
-from .encoder import EncoderConfig, encoder_backward, encoder_forward, init_encoder
+from .encoder import EncoderConfig, encoder_backward, encoder_forward, encoder_shapes
 from .errors import DimensionMismatch, ModeHeadMismatch
 from .features import VECTOR_BITS
 from .heads import (
+    HEAD_KINDS,
+    HEAD_TYPES,
     FlatHead,
     Head,
     compute_embeddings,
     head_backward,
     head_kind,
     head_params,
+    head_shapes,
     logits,
-    make_flat_head,
-    make_linear_head,
-    make_nonlinear_head,
 )
 from .lm import PhoneLM
 
@@ -56,6 +58,30 @@ class AcousticModel:
         return {u: i for i, u in enumerate(self.units)}
 
 
+def model_shapes(n_units: int, encoder_config: EncoderConfig, head: str, hidden: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter of the model so described, encoder first."""
+    shapes = {f"enc.{k}": s for k, s in encoder_shapes(encoder_config).items()}
+    head_table = head_shapes(head, n_units, encoder_config.output_dim, hidden)
+    return shapes | {f"head.{k}": s for k, s in head_table.items()}
+
+
+def glorot_params(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Glorot-uniform matrices and zero vectors of these shapes, drawn in their order."""
+    params = {}
+    for name, shape in shapes.items():
+        limit = np.sqrt(6.0 / sum(shape))
+        params[name] = rng.uniform(-limit, limit, size=shape) if len(shape) == 2 else np.zeros(shape)
+    return params
+
+
+def assemble_model(units: tuple[str, ...], P: np.ndarray, encoder_config: EncoderConfig, head: str,
+                   params: dict[str, np.ndarray]) -> AcousticModel:
+    """The model holding these parameters, named as `model_shapes` names them."""
+    enc = {k.removeprefix("enc."): v for k, v in params.items() if k.startswith("enc.")}
+    head_arrays = {k.removeprefix("head."): v for k, v in params.items() if k.startswith("head.")}
+    return AcousticModel(encoder_config, enc, HEAD_TYPES[head](**head_arrays), P, tuple(units))
+
+
 def build_model(
     units: tuple[str, ...],
     P: np.ndarray,
@@ -66,24 +92,10 @@ def build_model(
 ) -> AcousticModel:
     if head_hidden < 1:
         raise DimensionMismatch(f"head_hidden must be >= 1, got {head_hidden}")
-    rng = np.random.default_rng(seed)
-    enc_params = init_encoder(encoder_config, rng)
-    width = encoder_config.output_dim
-    if head == "flat":
-        h = make_flat_head(len(units), width, rng)
-    elif head == "linear":
-        h = make_linear_head(width, rng)
-    elif head == "nonlinear":
-        h = make_nonlinear_head(width, rng, hidden=head_hidden)
-    else:
+    if head not in HEAD_KINDS:
         raise ValueError(f"unknown head kind {head!r}")
-    return AcousticModel(
-        encoder_config=encoder_config,
-        encoder_params=enc_params,
-        head=h,
-        P=P,
-        units=tuple(units),
-    )
+    params = glorot_params(model_shapes(len(units), encoder_config, head, head_hidden), np.random.default_rng(seed))
+    return assemble_model(units, P, encoder_config, head, params)
 
 
 def model_params(model: AcousticModel) -> dict[str, np.ndarray]:

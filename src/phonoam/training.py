@@ -49,6 +49,7 @@ CLIP_NORM = 5.0  # bound on the global gradient norm of each step
 BETA1 = 0.9  # Adam's decay rates for the first and second moments
 BETA2 = 0.999
 EPS = 1e-8
+DEV_FRACTION = 0.2  # share of the merged corpora that `train_multilingual` holds out as dev set
 
 
 @dataclass
@@ -237,7 +238,6 @@ def train_multilingual(
     corpora: dict[str, list[Utterance]],
     model: AcousticModel,
     config: TrainConfig,
-    dev_fraction: float = 0.2,
 ) -> TrainReport:
     """Merge per-language corpora, split off a dev set, and train."""
     merged: list[Utterance] = [u for utts in corpora.values() for u in utts]
@@ -245,7 +245,7 @@ def train_multilingual(
         raise EmptyCorpus("no utterances in any language")
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(merged))
-    n_dev = max(1, int(len(merged) * dev_fraction))
+    n_dev = max(1, int(len(merged) * DEV_FRACTION))
     dev = [merged[i] for i in order[:n_dev]]
     tr = [merged[i] for i in order[n_dev:]]
     return train(model, tr, dev, config)

@@ -42,6 +42,20 @@ def test_roundtrip_preserves_everything(head, tmp_path):
     assert np.array_equal(Za, Zb)
 
 
+@pytest.mark.parametrize("head", ["flat", "linear", "nonlinear"])
+def test_loading_draws_no_weights(head, tmp_path, monkeypatch):
+    model = tiny_model(head)
+    path = tmp_path / "model.npz"
+    save_checkpoint(model, path)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("loading a checkpoint must not draw weights")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    loaded, _ = load_checkpoint(path)
+    assert params_checksum(model_params(loaded)) == params_checksum(model_params(model))
+
+
 def rewrite(src, dst, meta_edits=(), **extra_arrays):
     """Copy a checkpoint, setting (group, key, value) metadata entries and
     adding or replacing arrays on the way; group None is the top level."""

@@ -384,19 +384,25 @@ def test_retyped_checkpoint_exits_0_or_2(data, trained, nonlinear, workdir):
 
 
 def test_wide_head_refused_before_it_is_drawn(nonlinear, workdir, capsys):
-    """A small file whose A1 claims 200,000 hidden units (and holds no values) is
-    refused before the loader draws a head of that width."""
-    bad = workdir / "wide_head.npz"
-    rewrite(nonlinear, bad, head__A1=np.zeros((200_000, 0)))
-    tracemalloc.start()
-    try:
-        code = main(["eval", "--checkpoint", str(bad), "--corpus", str(workdir / "L1.jsonl")])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: checkpoint metadata describes a model with more weights")
-    assert peak < 4e6  # drawing A1 alone would take 200,000 x 51 doubles, 82 MB
+    """A small file whose A1 claims 200,000 hidden units (and holds no values),
+    or whose metadata claims 100,000 input dimensions, is refused by the shape
+    check, which names the array, before anything of that size is allocated."""
+    bad = workdir / "wide.npz"
+    for meta_edits, arrays, name in [
+        ((), {"head__A1": np.zeros((200_000, 0))}, "head__A1"),
+        ([("encoder_config", "input_dim", 100_000)], {}, "enc__W0"),
+    ]:
+        rewrite(nonlinear, bad, meta_edits, **arrays)
+        tracemalloc.start()
+        try:
+            code = main(["eval", "--checkpoint", str(bad), "--corpus", str(workdir / "L1.jsonl")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint arrays") and name in err
+        assert peak < 4e6  # drawing A1 alone would take 200,000 x 51 doubles, 82 MB
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -553,13 +559,38 @@ def test_train_nonsense_size_exits_2(flags, workdir, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["<blk>", "<spn>", "<nsn>"])
+def test_reserved_unit_name_as_phone_exits_2(name, workdir, capsys):
+    """A phone named like a special unit would be in the unit list twice, so the
+    checkpoint could not be loaded again: train refuses it before writing, even
+    when the feature table has a row for that name."""
+    table = (workdir / "features.tsv").read_text(encoding="utf-8")
+    marks = next(line for line in table.splitlines() if line.startswith("d\t")).split("\t")[1:]
+    marks[0] = "+"  # syllabic d: a row that no phone of the table has
+    features, inventory = workdir / "reserved.tsv", workdir / "reserved.json"
+    features.write_text(table + "\t".join([name, *marks]) + "\n", encoding="utf-8")
+    inventory.write_text(json.dumps({"language": "L1", "phones": [*PHONES[:5], name]}), encoding="utf-8")
+    out = workdir / "reserved.npz"
+    code = main([
+        "train", "--features", str(features), "--inventories", str(inventory),
+        "--corpus", str(workdir / "L1.jsonl"), "--context", "1", "--hidden", "8", "--width", "8",
+        "--epochs", "1", "--out", str(out),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: inventory 'L1' uses the reserved unit names")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--dim", "0"], ["--dim", "-3"], ["--utterances", "0"], ["--utterances", "-2"],
     ["--noise-std", "-0.1"], ["--noise-std", "nan"], ["--noise-std", "inf"],
     ["--offset-std", "-1"], ["--offset-std", "nan"], ["--offset-std", "inf"],
+    ["--inventory", "empty.json"],
 ], ids=lambda flags: "_".join(flags).lstrip("-"))
 def test_synth_nonsense_size_exits_2(flags, workdir, capsys):
     out = workdir / "nonsense.jsonl"
+    save_inventory(LanguageInventory("E", ()), workdir / "empty.json")
+    flags = [str(workdir / f) if f.endswith(".json") else f for f in flags]
     code = main(["synth", "--features", str(workdir / "features.tsv"), "--inventory", str(workdir / "L1.json"),
                  *flags, "--out", str(out)])
     assert code == 2

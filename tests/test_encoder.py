@@ -5,9 +5,10 @@ from phonoam.encoder import (
     EncoderConfig,
     encoder_backward,
     encoder_forward,
-    init_encoder,
+    encoder_shapes,
 )
 from phonoam.errors import DimensionMismatch, NonFiniteInput, StaleCache
+from phonoam.model import glorot_params
 
 RNG = np.random.default_rng(11)
 
@@ -20,7 +21,7 @@ def small_config(**kw):
 
 def test_zero_params_zero_output():
     cfg = small_config()
-    params = {k: np.zeros_like(v) for k, v in init_encoder(cfg, RNG).items()}
+    params = {k: np.zeros_like(v) for k, v in glorot_params(encoder_shapes(cfg), RNG).items()}
     H, _ = encoder_forward(cfg, params, RNG.normal(size=(6, 3)))
     assert np.all(H == 0)
 
@@ -35,14 +36,14 @@ def test_identity_single_layer_is_pointwise_activation():
 
 def test_shape_contract():
     cfg = small_config()
-    params = init_encoder(cfg, RNG)
+    params = glorot_params(encoder_shapes(cfg), RNG)
     H, _ = encoder_forward(cfg, params, RNG.normal(size=(9, 3)))
     assert H.shape == (9, 5)
 
 
 def test_bad_input_rejected():
     cfg = small_config()
-    params = init_encoder(cfg, RNG)
+    params = glorot_params(encoder_shapes(cfg), RNG)
     with pytest.raises(DimensionMismatch):
         encoder_forward(cfg, params, RNG.normal(size=(4, 2)))
     bad = np.full((4, 3), np.nan)
@@ -52,7 +53,7 @@ def test_bad_input_rejected():
 
 def test_zero_upstream_gradient():
     cfg = small_config()
-    params = init_encoder(cfg, RNG)
+    params = glorot_params(encoder_shapes(cfg), RNG)
     H, cache = encoder_forward(cfg, params, RNG.normal(size=(5, 3)))
     grads = encoder_backward(cfg, params, cache, np.zeros_like(H))
     assert grads.keys() == params.keys()
@@ -61,7 +62,7 @@ def test_zero_upstream_gradient():
 
 def test_stale_cache_detected():
     cfg = small_config()
-    params = init_encoder(cfg, RNG)
+    params = glorot_params(encoder_shapes(cfg), RNG)
     H, cache = encoder_forward(cfg, params, RNG.normal(size=(5, 3)))
     with pytest.raises(StaleCache):
         encoder_backward(cfg, params, cache, np.zeros((4, 5)))
@@ -69,7 +70,7 @@ def test_stale_cache_detected():
 
 def test_locality_without_recurrence():
     cfg = small_config(context=1)
-    params = init_encoder(cfg, RNG)
+    params = glorot_params(encoder_shapes(cfg), RNG)
     x = RNG.normal(size=(8, 3))
     H, _ = encoder_forward(cfg, params, x)
     for s in range(8):
@@ -81,7 +82,7 @@ def test_locality_without_recurrence():
 
 def test_finite_difference_gradients():
     cfg = small_config()
-    params = init_encoder(cfg, RNG)
+    params = glorot_params(encoder_shapes(cfg), RNG)
     x = RNG.normal(size=(6, 3))
     dH = RNG.normal(size=(6, 5))
 

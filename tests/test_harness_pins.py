@@ -37,6 +37,11 @@ def test_every_traced_target_resolves(layers):
     assert missing == []
 
 
+def test_head_kinds_where_the_harness_reads_them():
+    # perfbench's workloads and the CLI read the head kinds from `phonoam.benchmark`
+    assert importlib.import_module("phonoam.benchmark").HEAD_KINDS == ("flat", "linear", "nonlinear")
+
+
 def test_crf_gradients_by_the_names_the_harness_reads():
     rng = np.random.default_rng(3)
     units = ("<blk>", "a", "b", "c")

@@ -4,19 +4,24 @@ import pytest
 from phonoam.errors import DimensionMismatch, StaleCache
 from phonoam.features import VECTOR_BITS
 from phonoam.heads import (
+    HEAD_TYPES,
     LinearHead,
     NonlinearHead,
     compute_embeddings,
     head_backward,
+    head_shapes,
     logits,
-    make_flat_head,
-    make_linear_head,
-    make_nonlinear_head,
     posteriors,
     sigmoid,
 )
+from phonoam.model import glorot_params
 
 RNG = np.random.default_rng(7)
+
+
+def make_head(kind, width, n_units=0, hidden=0):
+    """A head of this kind with Glorot-drawn matrices, as `build_model` draws them."""
+    return HEAD_TYPES[kind](**glorot_params(head_shapes(kind, n_units, width, hidden), RNG))
 
 
 def random_P(n):
@@ -49,18 +54,18 @@ class TestComputeEmbeddings:
         assert np.array_equal(hidden, np.full((2, dh), 0.5))
 
     def test_flat_ignores_P(self):
-        head = make_flat_head(4, 8, RNG)
+        head = make_head("flat", 8, n_units=4)
         E, cache = compute_embeddings(head, random_P(4))
         assert E is head.E and cache is None
         assert compute_embeddings(head, None)[0] is head.E
 
     def test_flat_row_count_checked(self):
-        head = make_flat_head(4, 8, RNG)
+        head = make_head("flat", 8, n_units=4)
         with pytest.raises(DimensionMismatch):
             compute_embeddings(head, random_P(5))
 
     def test_permutation_equivariance(self):
-        head = make_nonlinear_head(6, RNG, hidden=5)
+        head = make_head("nonlinear", 6, hidden=5)
         P = random_P(7)
         perm = RNG.permutation(7)
         E, hidden = compute_embeddings(head, P)
@@ -142,19 +147,19 @@ class TestPosteriors:
 
 class TestBackward:
     def test_linear_adjoint(self):
-        head = make_linear_head(5, RNG)
+        head = make_head("linear", 5)
         P = random_P(6)
         dE = RNG.normal(size=(6, 5))
         grads = head_backward(head, P, None, dE)
         assert np.allclose(grads["A"], dE.T @ P)
 
     def test_flat_passthrough(self):
-        head = make_flat_head(6, 5, RNG)
+        head = make_head("flat", 5, n_units=6)
         dE = RNG.normal(size=(6, 5))
         assert head_backward(head, None, None, dE)["E"] is dE
 
     def test_nonlinear_finite_differences(self):
-        head = make_nonlinear_head(4, RNG, hidden=3)
+        head = make_head("nonlinear", 4, hidden=3)
         P = random_P(5)
         dE = RNG.normal(size=(5, 4))
         _, hidden = compute_embeddings(head, P)
@@ -175,7 +180,7 @@ class TestBackward:
                 assert rel < 1e-4, (name, idx)
 
     def test_nonlinear_needs_the_hidden_layer_of_this_P(self):
-        head = make_nonlinear_head(4, RNG, hidden=3)
+        head = make_head("nonlinear", 4, hidden=3)
         P = random_P(5)
         dE = RNG.normal(size=(5, 4))
         _, fewer_rows = compute_embeddings(head, P[:4])
