@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -36,6 +37,17 @@ def _write_manifest(out_path, subcommand: str, args: argparse.Namespace, **recor
         **recorded,
     }
     _write_json(str(out_path) + ".manifest.json", manifest, default=str)
+
+
+def _check_out(path) -> None:
+    """IoFailure unless a file can be created at `path`: its directory exists
+    and it is not a directory itself.  Run before any work, so that a mistyped
+    --out costs no training."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise IoFailure(f"cannot write {path}: no directory {folder}")
+    if os.path.isdir(path):
+        raise IoFailure(f"cannot write {path}: it is a directory")
 
 
 def _write_json(path, doc, **options) -> None:
@@ -342,6 +354,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage problems; remap per our contract
         return 0 if exc.code in (0, None) else 1
     try:
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out)
         return args.func(args)
     except PhonoamError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,11 +18,15 @@ The graph's transitions are held as a dense S x S matrix of edge weights
 recursions run as the two rows of one loop over frames, the backward row over
 the frames reversed, so each frame is one max, one exp and one log for both
 rows and one matrix-vector product per row, each row shifted by its maximum:
-only the loop over frames is left in Python.  The per-state edge lists the
-graph also keeps are read only by the benchmark harness, which counts the
-graph's edges from them.
+only the loop over frames is left in Python.  It runs once per utterance; a
+loss that needs no gradient runs the forward row alone.  The per-state edge
+lists the graph also keeps are read only by the benchmark harness, which
+counts the graph's edges from them.
 
-The numerator keeps CTC's exact logaddexp lattice: the shift flushes states
+`crf_batch_loss` scores a batch of utterances: the numerator of all of them
+is one call of CTC's batched lattice kernel, `ctc_label_counts`, and
+`crf_loss` is its batch of one.  The numerator keeps CTC's exact logaddexp
+lattice: the shift flushes states
 over ~745 nats below the frame's best to zero, and in a label lattice such a
 state may be the only one still able to reach the last label (at logit scale
 400, a shifted product got about half of random lattices wrong).
@@ -105,40 +109,45 @@ def _logsumexp(a: np.ndarray) -> float:
     return m + np.log(np.exp(a - m).sum())
 
 
-def denominator_forward_backward(graph: DenominatorGraph, logy: np.ndarray):
-    """(log denominator, expected per-frame unit counts under the CRF).
+def denominator_forward_backward(graph: DenominatorGraph, logy: np.ndarray, backward: bool = True):
+    """(log denominator, expected per-frame unit counts under the CRF, or None
+    without `backward`).
 
     Row 0 of the frame loop is the forward recursion and row 1 the backward
     one over the reversed frames, as in `ctc_label_counts`; pre[t] holds each
-    row's value before frame t's emission.  Each row is shifted by its maximum
-    before the exp and its product with `graph.trans` (v @ trans forward,
-    trans @ v backward); states no path reaches read -inf, since log(0) is
-    taken without a warning.
+    row's value before frame t's emission.  Without `backward` only row 0
+    runs, which gives the same log denominator.  Each row is shifted by its
+    maximum before the exp and its product with `graph.trans` (v @ trans
+    forward, trans @ v backward); states no path reaches read -inf, since
+    log(0) is taken without a warning.
     """
     T, N = logy.shape
     trans, unit = graph.trans, graph.states[:, 1]
     emit = logy[:, unit]
-    pre = np.empty((T, 2, len(unit)))
+    pre = np.empty((T, 2 if backward else 1, len(unit)))
     em = np.empty_like(pre)
-    em[:, 0], em[:, 1] = emit, emit[::-1]
-
-    pre[0] = graph.init_logw, graph.final_logw
+    em[:, 0], pre[0, 0] = emit, graph.init_logw
+    if backward:
+        em[:, 1], pre[0, 1] = emit[::-1], graph.final_logw
     x = pre[0] + em[0]  # each row's value after the frame's emission
-    v, m = np.empty_like(x), np.empty((2, 1))
+    v, m = np.empty_like(x), np.empty((len(x), 1))
     with np.errstate(divide="ignore"):
         for t in range(1, T):
             np.maximum.reduce(x, axis=1, keepdims=True, out=m)
             np.exp(np.subtract(x, m, out=v), out=v)
             p = pre[t]
             np.matmul(v[0], trans, out=p[0])
-            np.matmul(trans, v[1], out=p[1])
+            if backward:
+                np.matmul(trans, v[1], out=p[1])
             np.log(p, out=p)
             p += m
             np.add(p, em[t], out=x)
 
     la = pre[:, 0] + emit
-    lb = pre[::-1, 1]
     logden = _logsumexp(la[T - 1] + graph.final_logw)
+    if not backward:
+        return logden, None
+    lb = pre[::-1, 1]
     gamma = np.exp(la + lb - logden)
     counts = np.zeros((T, N))
     np.add.at(counts.T, unit, gamma.T)
@@ -154,16 +163,31 @@ def crf_loss(
     """CTC-CRF negative log-likelihood and exact gradient w.r.t. the logits."""
     labels = list(labels)
     check_labels(labels, *Z.shape)
+    nll, dZ = crf_batch_loss(Z, [len(Z)], [labels], lm, graph)
+    return CtcResult(nll=float(nll[0]), dZ=dZ)
 
-    logy = log_posteriors(Z)
-    num_loglik, num_counts = ctc_label_counts(logy, labels)
-    lm_score = lm.score(labels) if lm is not None else 0.0
 
+def crf_batch_loss(Z: np.ndarray, lengths, labels, lm: PhoneLM | None,
+                   graph: DenominatorGraph | None = None, backward: bool = True):
+    """(nll per utterance, dL/dZ or None) for utterances whose logits are
+    stacked in Z, lengths[b] rows each; the labels are taken as feasible.
+
+    The numerator is one batched `ctc_label_counts` call; the denominator
+    runs once per utterance.
+    """
     if graph is None:
         graph = build_denominator_graph(Z.shape[1], lm)
-    logden, den_counts = denominator_forward_backward(graph, logy)
+    logy = log_posteriors(Z)
+    num_loglik, num_counts = ctc_label_counts(logy, lengths, labels, backward)
+    lm_score = np.array([lm.score(lab) for lab in labels]) if lm is not None else 0.0
+
+    logden = np.empty(len(labels))
+    den_counts = np.empty_like(logy) if backward else None
+    end = np.cumsum(lengths)
+    for b, (lo, hi) in enumerate(zip(end - lengths, end)):
+        logden[b], counts = denominator_forward_backward(graph, logy[lo:hi], backward)
+        if backward:
+            den_counts[lo:hi] = counts
 
     nll = -(lm_score + num_loglik) + logden
-    dZ = den_counts - num_counts
-    return CtcResult(nll=float(nll), dZ=dZ)
-
+    return nll, (den_counts - num_counts if backward else None)

@@ -2,10 +2,13 @@
 
 The blank unit is fixed at index 0.  All lattice arithmetic is carried out in
 the natural-log domain with pairwise logaddexp; there is no probability-domain
-fallback.  The forward and backward recursions run as the two rows of one
-loop over frames, three ufunc calls per frame.  The gradient returned is with
-respect to the raw logits, i.e. the softmax Jacobian is already folded in
-(each row of dZ sums to zero).
+fallback.  One kernel, `ctc_label_counts`, scores a whole batch of utterances:
+each utterance's forward recursion and its backward one (the forward
+recursion over the reversed lattice) are two rows, or lanes, of one loop over
+frames, three ufunc calls per frame for every lane at once.  Every lane's
+arithmetic is elementwise, so an utterance gets the same bits whatever batch
+it is scored in.  The gradient returned is with respect to the raw logits,
+i.e. the softmax Jacobian is already folded in (each row of dZ sums to zero).
 """
 
 from __future__ import annotations
@@ -58,58 +61,102 @@ def ctc_loss(Z: np.ndarray, labels) -> CtcResult:
     """
     labels = list(labels)
     check_labels(labels, *Z.shape)
+    nll, dZ = ctc_batch_loss(Z, [len(Z)], [labels])
+    return CtcResult(nll=nll[0], dZ=dZ)
 
+
+def ctc_batch_loss(Z: np.ndarray, lengths, labels, backward: bool = True):
+    """(nll per utterance, dL/dZ or None) for utterances whose logits are
+    stacked in Z, lengths[b] rows each; the labels are taken as feasible."""
     logy = log_posteriors(Z)
-    loglik, counts = ctc_label_counts(logy, labels)
-    return CtcResult(nll=-loglik, dZ=np.exp(logy) - counts)
+    loglik, counts = ctc_label_counts(logy, lengths, labels, backward)
+    return -loglik, (np.exp(logy) - counts if backward else None)
 
 
-def ctc_label_counts(logy: np.ndarray, labels):
-    """(log p(l|x), expected per-frame unit counts over paths in B^-1(l)).
+def ctc_label_counts(logy: np.ndarray, lengths, labels, backward: bool = True):
+    """(log p(l_b|x_b) per utterance, expected per-frame unit counts over the
+    paths in B^-1(l_b), stacked as logy is, or None without `backward`).
 
-    Shared by the CTC loss and the CTC-CRF numerator; labels are non-empty.
-    The lattice is blk l1 blk ... lL blk.  Row 0 runs it forward; row 1 runs
-    it with states and frames reversed, which is the backward pass.  Each
-    frame is one stay/advance/skip step for both rows in three ufunc calls:
-    the skip is a logaddexp masked to the states it may enter.
+    logy stacks the utterances' log-posteriors, lengths[b] rows each; every
+    labels[b] is non-empty.  Shared by the CTC loss and the CTC-CRF numerator.
+    Utterance b's lattice is blk l1 blk ... lL blk.  Lane b runs it forward;
+    with `backward`, lane B + b runs it with its states and frames reversed,
+    which is the backward pass.  Lanes are padded to the longest lattice and
+    utterance, after their own states and frames: a lattice moves only to
+    higher states and frames, so the padding never reaches a lane's real
+    cells.  Each frame is one stay/advance/skip step for every lane in
+    three ufunc calls: the skip is a logaddexp masked to the states it may
+    enter.
     """
-    T, N = logy.shape
-    S = 2 * len(labels) + 1
-    aug = np.full(S, BLANK)
-    aug[1::2] = labels
-    emit = logy[:, aug]
-    em = np.empty((T, 2, S))
-    em[:, 0] = emit
-    em[:, 1] = emit[::-1, ::-1]
+    B = len(labels)
+    T = np.asarray(lengths)
+    L = np.fromiter(map(len, labels), int, B)
+    S = 2 * L + 1
+    start = np.cumsum(T) - T  # each utterance's first row in logy
+
+    # each lane's units, blank padded: the forward lanes, then the reversed ones
+    utt = np.repeat(np.arange(B), L)
+    pos = np.arange(len(utt)) - np.repeat(np.cumsum(L) - L, L)
+    flat = np.concatenate(labels)
+    aug = np.zeros((2 * B if backward else B, S.max()), dtype=int)
+    aug[utt, 2 * pos + 1] = flat
+    if backward:
+        aug[B + utt, 2 * (L[utt] - pos) - 1] = flat
+    lanes, width = aug.shape
+
+    # a lane's frame t is its utterance's frame t, or T - 1 - t reversed; the
+    # padding emits -inf, so it stays -inf, logaddexp's cheap case
+    t = np.arange(T.max())[:, None]
+    rows = start + np.minimum(t, T - 1)
+    if backward:
+        rows = np.concatenate([rows, start + np.maximum(T - 1 - t, 0)], axis=1)
+    em = logy.take(rows[:, :, None] * logy.shape[1] + aug)
+    lane_T, lane_S = (np.concatenate([T, T]), np.concatenate([S, S])) if backward else (T, S)
+    np.copyto(em, -np.inf, where=(t >= lane_T)[:, :, None])
+    np.copyto(em, -np.inf, where=np.arange(width) >= lane_S[:, None])
 
     # skip from s-2 into a label allowed when it differs from the label before
-    ok = np.zeros((2, S), dtype=bool)
-    ok[0, 3::2] = aug[3::2] != aug[1:-2:2]
-    ok[1, 3::2] = ok[0, 3::2][::-1]
+    ok = np.zeros(aug.shape, dtype=bool)
+    ok[:, 3::2] = aug[:, 3::2] != aug[:, 1:-2:2]
 
-    # pre[t]: each row's value before frame t's emission (beta excludes it);
+    # pre[t]: each lane's value before frame t's emission (beta excludes it);
     # only frame 0 is filled here, the loop writes every later pre[t] whole
-    pre = np.empty((T, 2, S))
+    pre = np.empty(em.shape)
     pre[0] = -np.inf
     pre[0, :, :2] = 0.0
-    buf = np.full((2, S + 2), -np.inf)  # two -inf columns ahead of the states
+    buf = np.full((lanes, width + 2), -np.inf)  # two -inf columns ahead of the states
     stay, move, jump = buf[:, 2:], buf[:, 1:-1], buf[:, :-2]
     np.add(pre[0], em[0], out=stay)
-    for t in range(1, T):
-        p = pre[t]
+    for f in range(1, len(pre)):
+        p = pre[f]
         np.logaddexp(stay, move, out=p)
         np.logaddexp(p, jump, out=p, where=ok)
-        np.add(p, em[t], out=stay)
+        np.add(p, em[f], out=stay)
 
-    la = pre[:, 0] + emit
-    lb = pre[::-1, 1, ::-1]
-    loglik = np.logaddexp(la[T - 1, S - 1], la[T - 1, S - 2])
+    # flat index into pre and em of lane b's state s at frame t
+    def cell(t, b, s):
+        return (t * lanes + b) * width + s
 
-    # state occupancies -> expected unit counts per frame
+    b = np.arange(B)
+    end = cell(T - 1, b, S - 1)
+    loglik = np.logaddexp(pre.take(end) + em.take(end), pre.take(end - 1) + em.take(end - 1))
+    if not backward:
+        return loglik, None
+
+    # every utterance's real cells (b, t, s) in that order
+    n = T * S
+    b = np.repeat(b, n)
+    t, s = np.divmod(np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n), S[b])
+    fwd = cell(t, b, s)
+    la = pre.take(fwd) + em.take(fwd)
+    lb = pre.take(cell(T[b] - 1 - t, B + b, S[b] - 1 - s))
+
+    # state occupancies -> expected unit counts per frame, each utterance's
+    # states added in order
     with np.errstate(invalid="ignore"):
-        gamma = np.exp(la + lb - loglik)
-    counts = np.zeros((T, N))
-    np.add.at(counts.T, aug, gamma.T)
+        gamma = np.exp(la + lb - loglik[b])
+    counts = np.zeros(logy.shape)
+    np.add.at(counts.reshape(-1), (start[b] + t) * logy.shape[1] + aug[b, s], gamma)
     return loglik, counts
 
 

@@ -94,6 +94,38 @@ def check_covered(index: dict[str, int], utterances) -> None:
         raise InventoryMismatch(f"phones {missing} not covered by the model")
 
 
+def charge(result: EvalResult, units, Z: np.ndarray, ref, unseen: set[str] = frozenset()) -> None:
+    """Greedy-decode one utterance's logits Z and add its errors against the
+    reference phones to result, by the charging rule of `evaluate`."""
+    hyp = [units[i] for i in greedy_decode(Z)]
+    # one flag per reference phone, then one for the slot past the end
+    charged_unseen = [p in unseen for p in ref]
+    n_unseen = sum(charged_unseen)
+    charged_unseen.append(charged_unseen[-1] if ref else False)
+    errors = unseen_errors = 0
+    next_ri = 0  # the reference phone an insertion here is charged to
+    for op, ri, _ in align(ref, hyp):
+        if op == "ins":
+            result.insertions += 1
+            errors += 1
+            unseen_errors += charged_unseen[next_ri]
+            continue
+        next_ri = ri + 1
+        if op == "match":
+            continue
+        if op == "sub":
+            result.substitutions += 1
+        else:
+            result.deletions += 1
+        errors += 1
+        unseen_errors += charged_unseen[ri]
+    result.ref_len += len(ref)
+    result.unseen_len += n_unseen
+    result.seen_len += len(ref) - n_unseen
+    result.unseen_errors += unseen_errors
+    result.seen_errors += errors - unseen_errors
+
+
 def evaluate(
     model: AcousticModel,
     utterances: list[Utterance],
@@ -109,33 +141,11 @@ def evaluate(
     class-wise errors and token counts add back up to the overall PER.
     """
     check_covered(model.unit_index(), utterances)
-    units = model.units
     emb = embeddings(model)
     result = EvalResult()
     for utt in utterances:
         Z, _ = model_forward(model, utt.frames, emb)
-        ref, hyp = utt.phones, [units[i] for i in greedy_decode(Z)]
-        # one flag per reference phone, then one for the slot past the end
-        charged_unseen = [p in unseen for p in ref]
-        result.ref_len += len(ref)
-        result.unseen_len += sum(charged_unseen)
-        charged_unseen.append(charged_unseen[-1] if ref else False)
-        next_ri = 0  # the reference phone an insertion here is charged to
-        for op, ri, _ in align(ref, hyp):
-            if op == "ins":
-                result.insertions += 1
-                result.unseen_errors += charged_unseen[next_ri]
-                continue
-            next_ri = ri + 1
-            if op == "match":
-                continue
-            if op == "sub":
-                result.substitutions += 1
-            else:
-                result.deletions += 1
-            result.unseen_errors += charged_unseen[ri]
-    result.seen_len = result.ref_len - result.unseen_len
-    result.seen_errors = result.substitutions + result.insertions + result.deletions - result.unseen_errors
+        charge(result, model.units, Z, utt.phones, unseen)
     return result
 
 

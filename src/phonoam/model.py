@@ -9,8 +9,16 @@ The embeddings E, and the head's cache that its backward pass reads (the
 nonlinear head's hidden layer), depend only on the head's parameters.  So a
 caller that runs many utterances between parameter updates computes them once
 with `embeddings(model)` and passes that (E, head cache) pair to
-`model_forward` or `model_loss_and_grads`; either computes it itself when it
-is not given.
+`model_forward` or the loss functions; each computes it itself when it is not
+given.
+
+`batch_loss_and_grads` is the training step: each utterance is forwarded and
+backpropagated on its own, because stacking utterances changes the bits of
+the matmuls, while `batch_loss` scores the whole batch with one
+`log_posteriors` over the stacked logits and one call of the CTC lattice
+kernel (the CTC-CRF denominator still runs per utterance).  The
+gradients are summed from zeros in batch order.  `model_loss_and_grads` is
+the batch of one.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ import numpy as np
 from . import ctc as ctc_mod
 from . import crf as crf_mod
 from .crf import DenominatorGraph
+from .ctc import check_labels
 from .encoder import EncoderConfig, encoder_backward, encoder_forward, encoder_shapes
 from .errors import DimensionMismatch, ModeHeadMismatch
 from .features import VECTOR_BITS
@@ -183,6 +192,52 @@ def model_forward(
     return Z, {"enc": enc_cache, "H_seq": H_seq, "E": E, "head": head_cache}
 
 
+def batch_loss(Zs, labels, loss: str = "ctc", lm: PhoneLM | None = None,
+               graph: DenominatorGraph | None = None, backward: bool = True):
+    """(nll per utterance, dL/dZ stacked as the logits Zs are, or None without
+    `backward`) in one lattice-kernel call; the labels are taken as feasible."""
+    Z, lengths = np.concatenate(Zs), [len(Z) for Z in Zs]
+    if loss == "ctc":
+        return ctc_mod.ctc_batch_loss(Z, lengths, labels, backward)
+    if loss == "ctc_crf":
+        return crf_mod.crf_batch_loss(Z, lengths, labels, lm, graph, backward)
+    raise ValueError(f"unknown loss {loss!r}")
+
+
+def batch_loss_and_grads(
+    model: AcousticModel,
+    batch,
+    loss: str = "ctc",
+    lm: PhoneLM | None = None,
+    graph: DenominatorGraph | None = None,
+    emb: tuple[np.ndarray, np.ndarray | None] | None = None,
+):
+    """A batch of (frames, labels) pairs with feasible labels: (nll per
+    utterance, exact analytic gradients summed over the batch in its order).
+
+    Each utterance is forwarded and backpropagated on its own, since stacking
+    them would change the bits of the matmuls; one `batch_loss` call scores
+    them all.  emb, if given, must be `embeddings(model)` of the current
+    parameters.
+    """
+    emb = embeddings(model) if emb is None else emb
+    forwards = [model_forward(model, frames, emb) for frames, _ in batch]
+    nll, dZ = batch_loss([Z for Z, _ in forwards], [labels for _, labels in batch], loss, lm, graph)
+
+    grads = {k: np.zeros_like(p) for k, p in model_params(model).items()}
+    end = 0
+    for Z, cache in forwards:
+        dZ_u = dZ[end : end + len(Z)]
+        end += len(Z)
+        enc_grads = encoder_backward(model.encoder_config, model.encoder_params, cache["enc"], dZ_u @ cache["E"])
+        h_grads = head_backward(model.head, model.P, cache["head"], dZ_u.T @ cache["H_seq"])
+        for k, g in enc_grads.items():
+            grads[f"enc.{k}"] += g
+        for k, g in h_grads.items():
+            grads[f"head.{k}"] += g
+    return nll, grads
+
+
 def model_loss_and_grads(
     model: AcousticModel,
     frames: np.ndarray,
@@ -192,23 +247,12 @@ def model_loss_and_grads(
     graph: DenominatorGraph | None = None,
     emb: tuple[np.ndarray, np.ndarray | None] | None = None,
 ):
-    """One utterance: (nll, grads dict) with exact analytic gradients.
+    """One utterance, the batch of one: (nll, grads dict).
 
-    emb, if given, must be `embeddings(model)` of the current parameters.
+    InfeasibleLength unless the labels fit the frames.  emb, if given, must be
+    `embeddings(model)` of the current parameters.
     """
-    Z, cache = model_forward(model, frames, emb)
-    if loss == "ctc":
-        result = ctc_mod.ctc_loss(Z, labels)
-    elif loss == "ctc_crf":
-        result = crf_mod.crf_loss(Z, labels, lm, graph=graph)
-    else:
-        raise ValueError(f"unknown loss {loss!r}")
-
-    dZ = result.dZ
-    dH = dZ @ cache["E"]
-    dE = dZ.T @ cache["H_seq"]
-    enc_grads = encoder_backward(model.encoder_config, model.encoder_params, cache["enc"], dH)
-    h_grads = head_backward(model.head, model.P, cache["head"], dE)
-    grads = {f"enc.{k}": v for k, v in enc_grads.items()}
-    grads.update({f"head.{k}": v for k, v in h_grads.items()})
-    return result.nll, grads
+    labels = list(labels)
+    check_labels(labels, len(frames), model.n_units)
+    nll, grads = batch_loss_and_grads(model, [(frames, labels)], loss, lm, graph, emb)
+    return nll[0], grads

@@ -5,12 +5,17 @@ whenever the dev loss stops improving by more than MIN_DELTA for PATIENCE
 epochs, stopping once the rate drops below LR_FLOOR (1e-5).  An epoch whose
 dev loss is NaN (every dev utterance infeasible) leaves the schedule as is.
 
+Each optimizer step is one `batch_loss_and_grads` call, which scores the
+whole batch with one loss-kernel call.  Each epoch's dev pass forwards every
+dev utterance once, `batch_size` utterances at a time: it decodes each for PER
+by `evaluate`'s charging rule and scores the loss of the feasible ones with
+the forward recursion alone, so it runs no backward pass.
+
 The embeddings and the nonlinear head's hidden layer depend only on the
-parameters, so `train` computes them once per optimizer step and once per
-dev-loss pass, and `evaluate` once per call; every utterance of a batch or a
-pass shares them, in its forward and its backward pass.  Likewise each
-utterance's phones are mapped to labels and checked once per `train` call,
-not per epoch.
+parameters, so `train` computes them once per optimizer step and once per dev
+pass; every utterance of a batch or a pass shares them, in its forward and its
+backward pass.  Likewise each utterance's phones are mapped to labels and
+checked once per `train` call, not per epoch.
 """
 
 from __future__ import annotations
@@ -24,10 +29,12 @@ from .corpus import Utterance
 from .crf import build_denominator_graph
 from .ctc import check_labels, greedy_decode
 from .errors import DimensionMismatch, EmptyCorpus, InfeasibleLength, InvalidTrainConfig
-from .evaluate import check_covered, evaluate
+from .evaluate import EvalResult, charge, check_covered
 from .lm import train_phone_lm
 from .model import (
     AcousticModel,
+    batch_loss,
+    batch_loss_and_grads,
     embeddings,
     model_forward,
     model_loss_and_grads,
@@ -36,10 +43,11 @@ from .model import (
     set_model_params,
 )
 
-# perfbench/layers.py looks up `greedy_decode` and `model_forward` on this
-# module to trace dev decoding, which runs inside `evaluate`; both names stay
-# here until the harness drops those two targets.
-_HARNESS_TRACED = (greedy_decode, model_forward)
+# perfbench/layers.py looks up `greedy_decode` and `model_loss_and_grads` on
+# this module to trace them, though `train` calls neither any more (dev
+# decoding runs inside `evaluate.charge`); both names stay here until the
+# harness drops those two targets.
+_HARNESS_TRACED = (greedy_decode, model_loss_and_grads)
 
 LR_FACTOR = 0.1
 LR_FLOOR = 1e-5
@@ -128,23 +136,35 @@ def _clip_global(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.
     return {k: g * scale for k, g in grads.items()}
 
 
-def _feasible(utts, index: dict[str, int], n_units: int) -> list[tuple[Utterance, list[int]]]:
-    """(utterance, labels) for each utterance whose labels `check_labels` accepts."""
+def _labelled(utts, index: dict[str, int], n_units: int) -> list[tuple[Utterance, list[int] | None]]:
+    """(utterance, labels) for each utterance, labels None where `check_labels` refuses them."""
     pairs = []
     for utt in utts:
         labels = [index[p] for p in utt.phones]
         try:
             check_labels(labels, utt.frames.shape[0], n_units)
         except InfeasibleLength:
-            continue
+            labels = None
         pairs.append((utt, labels))
     return pairs
 
 
-def _mean_loss(model, pairs, loss, lm, graph) -> float:
+def _dev_pass(model, dev, config: TrainConfig, lm, graph) -> tuple[float, float]:
+    """(mean loss of the feasible utterances, PER of all of them), forwarding
+    each (utterance, labels or None) pair once, batch_size at a time."""
     emb = embeddings(model)
-    losses = [model_loss_and_grads(model, u.frames, labels, loss, lm, graph, emb)[0] for u, labels in pairs]
-    return float(np.mean(losses)) if losses else float("nan")
+    result = EvalResult()
+    losses = []
+    for start in range(0, len(dev), config.batch_size):
+        chunk = dev[start : start + config.batch_size]
+        Zs = [model_forward(model, utt.frames, emb)[0] for utt, _ in chunk]
+        for Z, (utt, _) in zip(Zs, chunk):
+            charge(result, model.units, Z, utt.phones)
+        scored = [(Z, labels) for Z, (_, labels) in zip(Zs, chunk) if labels is not None]
+        if scored:
+            Zs, labels = zip(*scored)
+            losses.extend(batch_loss(Zs, labels, config.loss, lm, graph, backward=False)[0])
+    return (float(np.mean(losses)) if losses else float("nan")), result.per
 
 
 def train(
@@ -175,7 +195,7 @@ def train(
         )
         graph = build_denominator_graph(model.n_units, lm)
 
-    usable = _feasible(train_set, index, model.n_units)
+    usable = [pair for pair in _labelled(train_set, index, model.n_units) if pair[1] is not None]
     report.skipped = len(train_set) - len(usable)
     if not usable:
         raise EmptyCorpus("every training utterance is infeasible for the loss")
@@ -187,11 +207,11 @@ def train(
     best_dev = float("inf")
     stale = 0
 
-    # dev loss of the untouched initialization, recorded before any update
-    dev_pairs = _feasible(dev_set, index, model.n_units) if dev_set else usable
-    dev_eval = dev_set if dev_set else [utt for utt, _ in usable]
-    report.dev_loss.append(_mean_loss(model, dev_pairs, config.loss, lm, graph))
-    report.dev_per.append(evaluate(model, dev_eval).per)
+    # dev loss and PER of the untouched initialization, recorded before any update
+    dev = _labelled(dev_set, index, model.n_units) if dev_set else usable
+    dev_loss, dev_per = _dev_pass(model, dev, config, lm, graph)
+    report.dev_loss.append(dev_loss)
+    report.dev_per.append(dev_per)
     report.lr.append(lr)
 
     for epoch in range(config.max_epochs):
@@ -199,28 +219,25 @@ def train(
         epoch_losses = []
         for start in range(0, len(usable), config.batch_size):
             batch = [usable[i] for i in order[start : start + config.batch_size]]
-            acc: dict[str, np.ndarray] = {k: np.zeros_like(p) for k, p in params.items()}
-            emb = embeddings(model)
-            for utt, labels in batch:
-                nll, grads = model_loss_and_grads(model, utt.frames, labels, config.loss, lm, graph, emb)
-                epoch_losses.append(nll)
-                for k, g in grads.items():
-                    acc[k] += g
+            nll, acc = batch_loss_and_grads(
+                model, [(utt.frames, labels) for utt, labels in batch], config.loss, lm, graph
+            )
+            epoch_losses.extend(nll)
             acc = {k: g / len(batch) for k, g in acc.items()}
             acc = _clip_global(acc, CLIP_NORM)
             params = adam_step(params, acc, adam, lr)
             set_model_params(model, params)
 
         report.train_loss.append(float(np.mean(epoch_losses)))
-        dev = _mean_loss(model, dev_pairs, config.loss, lm, graph)
-        report.dev_loss.append(dev)
-        report.dev_per.append(evaluate(model, dev_eval).per)
+        dev_loss, dev_per = _dev_pass(model, dev, config, lm, graph)
+        report.dev_loss.append(dev_loss)
+        report.dev_per.append(dev_per)
         report.lr.append(lr)
 
-        if math.isnan(dev):
+        if math.isnan(dev_loss):
             continue  # no dev utterance is feasible: nothing to judge a plateau by
-        if dev < best_dev - MIN_DELTA:
-            best_dev = dev
+        if dev_loss < best_dev - MIN_DELTA:
+            best_dev = dev_loss
             stale = 0
         else:
             stale += 1

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phonoam.checkpoint import load_checkpoint, save_checkpoint
+from phonoam import cli
 from phonoam.cli import main
 from phonoam.inventory import LanguageInventory, save_inventory
 from phonoam.model import build_model, model_params, params_checksum
@@ -76,6 +77,33 @@ def test_phoneset_build_unwritable_out_exits_2(workdir, capsys):
     code = main(["phoneset", "build", "--inventories", str(workdir / "L1.json"), "--out", str(out_path)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# every subcommand that writes --out, with inputs that name no real file: the
+# --out check must refuse before anything is read, trained or run
+WRITING_SUBCOMMANDS = {
+    "phoneset build": ["phoneset", "build", "--inventories", "L1.json"],
+    "synth": ["synth", "--features", "f.tsv", "--inventory", "L1.json"],
+    "train": ["train", "--features", "f.tsv", "--inventories", "L1.json", "--corpus", "L1.jsonl"],
+    "extend": ["extend", "--checkpoint", "m.npz", "--features", "f.tsv", "--target", "t.json"],
+    "finetune": ["finetune", "--checkpoint", "m.npz", "--corpus", "t.jsonl"],
+    "export-embeddings": ["export-embeddings", "--checkpoint", "m.npz"],
+    "bench": ["bench", "zero-shot", "--head", "linear"],
+}
+WORK = ("load_feature_table", "load_inventory", "load_checkpoint", "load_corpus",
+        "train_multilingual", "finetune", "run_seeds")
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "a_directory"])
+@pytest.mark.parametrize("subcommand", WRITING_SUBCOMMANDS)
+def test_bad_out_refused_before_any_work(subcommand, where, tmp_path, monkeypatch, capsys):
+    started = []
+    for name in WORK:
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: started.append(name))
+    out = tmp_path / "no_such_dir" / "result" if where == "missing_dir" else tmp_path
+    code = main([*WRITING_SUBCOMMANDS[subcommand], "--out", str(out)])
+    assert (code, started) == (2, [])
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
 
 def test_usage_error_exits_1(capsys):

@@ -151,7 +151,7 @@ class TestLabelCountsMatchReference:
 
     def assert_same(self, Z, labels):
         logy = log_posteriors(Z)
-        loglik, counts = ctc_label_counts(logy, labels)
+        (loglik,), counts = ctc_label_counts(logy, [len(logy)], [labels])
         ref_loglik, ref_counts = reference_label_counts(logy, labels)
         assert loglik == ref_loglik
         assert np.array_equal(counts, ref_counts)
@@ -207,9 +207,93 @@ class TestLabelCountsMatchReference:
         # every frame of every path sits in one state, even 400 nats apart
         rng = np.random.default_rng(400)
         logy = log_posteriors(rng.normal(0, 400, size=(30, 4)))
-        loglik, counts = ctc_label_counts(logy, [1, 2, 3, 2, 1])
+        (loglik,), counts = ctc_label_counts(logy, [30], [[1, 2, 3, 2, 1]])
         assert np.isfinite(loglik)
         assert np.allclose(counts.sum(axis=1), 1.0)
+
+
+def two_row_label_counts(logy, labels):
+    """The per-utterance kernel the batched one replaced: the forward and the
+    reversed (backward) recursion as the two rows of one frame loop."""
+    T, N = logy.shape
+    S = 2 * len(labels) + 1
+    aug = np.full(S, BLANK)
+    aug[1::2] = labels
+    emit = logy[:, aug]
+    em = np.empty((T, 2, S))
+    em[:, 0] = emit
+    em[:, 1] = emit[::-1, ::-1]
+
+    ok = np.zeros((2, S), dtype=bool)
+    ok[0, 3::2] = aug[3::2] != aug[1:-2:2]
+    ok[1, 3::2] = ok[0, 3::2][::-1]
+
+    pre = np.empty((T, 2, S))
+    pre[0] = -np.inf
+    pre[0, :, :2] = 0.0
+    buf = np.full((2, S + 2), -np.inf)
+    stay, move, jump = buf[:, 2:], buf[:, 1:-1], buf[:, :-2]
+    np.add(pre[0], em[0], out=stay)
+    for t in range(1, T):
+        p = pre[t]
+        np.logaddexp(stay, move, out=p)
+        np.logaddexp(p, jump, out=p, where=ok)
+        np.add(p, em[t], out=stay)
+
+    la = pre[:, 0] + emit
+    lb = pre[::-1, 1, ::-1]
+    loglik = np.logaddexp(la[T - 1, S - 1], la[T - 1, S - 2])
+    with np.errstate(invalid="ignore"):
+        gamma = np.exp(la + lb - loglik)
+    counts = np.zeros((T, N))
+    np.add.at(counts.T, aug, gamma.T)
+    return loglik, counts
+
+
+class TestBatchedLabelCounts:
+    """A batch gives every utterance the bits the two-row kernel gives it alone."""
+
+    def draw_batch(self, rng, B, scale, N):
+        logys, labels = [], []
+        for _ in range(B):
+            # two or three units make adjacent repeats, whose skip the mask blocks
+            units = int(rng.integers(1, N)) if rng.random() < 0.5 else min(2, N - 1)
+            labs = [int(rng.integers(1, units + 1)) for _ in range(int(rng.integers(1, 8)))]
+            T = tight_length(labs) + int(rng.integers(0, 12))
+            logys.append(log_posteriors(rng.normal(0, scale, size=(T, N))))
+            labels.append(labs)
+        return logys, labels
+
+    def assert_batch_matches(self, logys, labels):
+        lengths = [len(lg) for lg in logys]
+        loglik, counts = ctc_label_counts(np.concatenate(logys), lengths, labels)
+        ends = np.cumsum(lengths)
+        for b, (lg, labs) in enumerate(zip(logys, labels)):
+            ref_loglik, ref_counts = two_row_label_counts(lg, labs)
+            assert loglik[b] == ref_loglik or (np.isneginf(ref_loglik) and np.isneginf(loglik[b]))
+            assert np.array_equal(counts[ends[b] - lengths[b] : ends[b]], ref_counts, equal_nan=True)
+        forward_only, none = ctc_label_counts(np.concatenate(logys), lengths, labels, backward=False)
+        assert none is None
+        assert np.array_equal(forward_only, loglik)
+
+    @pytest.mark.parametrize("scale", [0.5, 3.0, 30.0])
+    @pytest.mark.parametrize("B", range(1, 9))
+    def test_mixed_lengths_and_labels(self, B, scale):
+        rng = np.random.default_rng([B, int(scale * 10)])
+        for _ in range(6):
+            self.assert_batch_matches(*self.draw_batch(rng, B, scale, int(rng.integers(3, 40))))
+
+    @pytest.mark.parametrize("scale", [0.5, 3.0, 30.0])
+    def test_infeasible_lane_leaves_the_others_unchanged(self, scale):
+        rng = np.random.default_rng(int(scale * 10) + 7)
+        logys, labels = self.draw_batch(rng, 5, scale, 12)
+        # three repeats need six frames: two frames realize no path
+        logys.insert(2, log_posteriors(rng.normal(0, scale, size=(2, 12))))
+        labels.insert(2, [4, 4, 4])
+        assert np.isneginf(two_row_label_counts(logys[2], labels[2])[0])
+        self.assert_batch_matches(logys, labels)
+        loglik, _ = ctc_label_counts(np.concatenate(logys), [len(lg) for lg in logys], labels)
+        assert np.isneginf(loglik[2]) and np.isfinite(np.delete(loglik, 2)).all()
 
 
 class TestGreedyDecode:

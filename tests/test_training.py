@@ -7,6 +7,9 @@ import pytest
 from phonoam import heads as heads_mod
 from phonoam import model as model_mod
 from phonoam import training
+from phonoam import evaluate as evaluate_mod
+from phonoam.crf import build_denominator_graph
+from phonoam.lm import train_phone_lm
 from phonoam.corpus import SynthLanguageSpec, Utterance, generate_language, make_emission_map
 from phonoam.encoder import EncoderConfig
 from phonoam.errors import DimensionMismatch, EmptyCorpus, InvalidTrainConfig, InventoryMismatch
@@ -205,12 +208,55 @@ def test_embeddings_computed_once_per_update_and_pass(loss, monkeypatch):
     model, utts = make_setup(head="nonlinear")
     embedded = count_calls(monkeypatch, model_mod, "compute_embeddings")
     steps = count_calls(monkeypatch, training, "adam_step")
-    evaluations = count_calls(monkeypatch, training, "evaluate")
+    evaluations = count_calls(monkeypatch, evaluate_mod, "evaluate")
     report = train(model, utts[:10], utts[10:], TrainConfig(loss=loss, max_epochs=2, batch_size=3))
     assert len(steps) == 2 * 4  # two epochs of ceil(10 / 3) batches
-    assert len(evaluations) == len(report.dev_per) == 3
-    # once per Adam step, once per dev-loss pass, once per evaluate call
-    assert len(embedded) == len(steps) + len(report.dev_loss) + len(evaluations)
+    assert len(report.dev_per) == 3
+    # once per Adam step and once per dev pass, which scores loss and PER
+    # without calling `evaluate`
+    assert len(embedded) == len(steps) + len(report.dev_loss)
+    assert evaluations == []
+
+
+@pytest.mark.parametrize("held_out", [True, False], ids=["dev_set", "no_dev_set"])
+def test_each_dev_utterance_forwarded_once_per_dev_pass(held_out, monkeypatch):
+    model, utts = make_setup()
+    short = Utterance(frames=np.zeros((1, D)), phones=utts[0].phones[:2] * 2, language_id="L1")
+    forwarded = count_calls(monkeypatch, training, "model_forward")
+    scored = count_calls(monkeypatch, training, "batch_loss")
+    train_set, dev_set = (utts[:8], [*utts[8:], short]) if held_out else (utts, [])
+    report = train(model, train_set, dev_set, TrainConfig(max_epochs=3, batch_size=3))
+    # without a dev set the dev pass runs over the training utterances
+    per_pass = len(dev_set) if held_out else len(train_set)
+    assert len(forwarded) == per_pass * len(report.dev_loss)
+    frames = [id(args[1]) for args in forwarded]
+    assert frames[:per_pass] == [id(u.frames) for u in (dev_set or train_set)]
+    # the loss of the feasible ones, scored batch_size at a time: no pass
+    # holds the logits of the whole dev set
+    feasible = per_pass - held_out
+    assert sum(len(args[0]) for args in scored) == feasible * len(report.dev_loss)
+    assert max(len(args[0]) for args in scored) == 3
+
+
+@pytest.mark.parametrize("head", ["flat", "linear", "nonlinear"])
+@pytest.mark.parametrize("loss", ["ctc", "ctc_crf"])
+def test_batch_step_sums_the_per_utterance_gradients_bitwise(head, loss):
+    model, utts = make_setup(head=head)
+    index = model.unit_index()
+    batch = [(u.frames, [index[p] for p in u.phones]) for u in utts[:7]]
+    lm = graph = None
+    if loss == "ctc_crf":
+        lm = train_phone_lm([labels for _, labels in batch], order=2, vocab=range(1, model.n_units))
+        graph = build_denominator_graph(model.n_units, lm)
+    nll, grads = model_mod.batch_loss_and_grads(model, batch, loss, lm, graph)
+    acc = {k: np.zeros_like(p) for k, p in model_params(model).items()}
+    for b, (frames, labels) in enumerate(batch):
+        one_nll, one_grads = model_mod.model_loss_and_grads(model, frames, labels, loss, lm, graph)
+        assert nll[b] == one_nll
+        for k, g in one_grads.items():
+            acc[k] += g
+    assert grads.keys() == acc.keys()
+    assert all(np.array_equal(grads[k], acc[k]) for k in acc)
 
 
 @pytest.mark.parametrize("loss", ["ctc", "ctc_crf"])
