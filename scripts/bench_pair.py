@@ -6,9 +6,10 @@
 The parent's files are extracted with `git archive <parent> | tar -x` into a
 temporary directory, so nothing under `.git` changes.  For each workload and
 pair i (seed SEED + i) it runs `perfbench/run.py --trace 0` once on each
-side, alternating which side goes first, then one `--trace 1` run per side for
-the exact per-layer counts.  It writes BENCH_<commit>.json (commit = the short
-hash of this checkout's HEAD, `-dirty` when the tree has uncommitted changes):
+side for BENCHMARK.json's `run_seconds`, alternating which side goes first,
+then one `--trace 1` run of TRACE_SECONDS per side for the exact per-layer
+counts.  It writes BENCH_<commit>.json at the root of this checkout (commit =
+the short hash of its HEAD, `-dirty` when the tree has uncommitted changes):
 the machine record, every run's metrics, each end-to-end metric's median and
 interquartile range per side, and how many pairs each side won.
 """
@@ -25,6 +26,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+TRACE_SECONDS = 1.0  # measured section of the traced runs; their counts are exact
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -100,21 +102,17 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", required=True, help="git revision to compare against")
     ap.add_argument("--pairs", type=_pairs_arg, nargs="+", required=True, metavar="WORKLOAD=N")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="measured section per run (default: run_seconds of BENCHMARK.json)")
-    ap.add_argument("--trace-seconds", type=float, default=1.0, help="measured section of the traced runs")
     ap.add_argument("--seed", type=int, default=0, help="seed of the first pair")
-    ap.add_argument("--out", type=Path, default=None)
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     commit = _git("rev-parse", "--short", "HEAD") + ("-dirty" if _git("status", "--porcelain", "--untracked-files=no") else "")
-    out_path = args.out or ROOT / f"BENCH_{commit}.json"
+    out_path = ROOT / f"BENCH_{commit}.json"
 
     doc = {"parent": _git("rev-parse", args.parent), "change": commit, "seconds": seconds,
-           "trace_seconds": args.trace_seconds, "machine": None, "workloads": {}}
+           "trace_seconds": TRACE_SECONDS, "machine": None, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         roots = {"parent": Path(tmp), "change": ROOT}
         extract(args.parent, roots["parent"])
@@ -134,7 +132,7 @@ def main(argv=None) -> int:
                         pair[side] = run["metrics"]
                 if len(pair) == 2:
                     pairs.append(pair)
-            traced = {side: run_side(roots[side], workload, args.seed, args.trace_seconds, 1)[1] for side in SIDES}
+            traced = {side: run_side(roots[side], workload, args.seed, TRACE_SECONDS, 1)[1] for side in SIDES}
             doc["workloads"][workload] = {
                 "runs": runs,
                 "summary": summarize(pairs, better),

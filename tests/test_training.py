@@ -8,10 +8,11 @@ from phonoam import heads as heads_mod
 from phonoam import model as model_mod
 from phonoam import training
 from phonoam import evaluate as evaluate_mod
-from phonoam.crf import build_denominator_graph
+from phonoam.crf import build_denominator_graph, crf_loss
+from phonoam.ctc import ctc_loss
 from phonoam.lm import train_phone_lm
 from phonoam.corpus import SynthLanguageSpec, Utterance, generate_language, make_emission_map
-from phonoam.encoder import EncoderConfig
+from phonoam.encoder import EncoderConfig, encoder_backward
 from phonoam.errors import DimensionMismatch, EmptyCorpus, InvalidTrainConfig, InventoryMismatch
 from phonoam.evaluate import evaluate
 from phonoam.features import SpecialToken, builtin_table, encode_inventory
@@ -249,12 +250,19 @@ def test_batch_step_sums_the_per_utterance_gradients_bitwise(head, loss):
         lm = train_phone_lm([labels for _, labels in batch], order=2, vocab=range(1, model.n_units))
         graph = build_denominator_graph(model.n_units, lm)
     nll, grads = model_mod.batch_loss_and_grads(model, batch, loss, lm, graph)
+    # the per-utterance step written out: forward, loss, backward through the
+    # encoder and the head, each utterance's gradients added to zeros in order
     acc = {k: np.zeros_like(p) for k, p in model_params(model).items()}
     for b, (frames, labels) in enumerate(batch):
-        one_nll, one_grads = model_mod.model_loss_and_grads(model, frames, labels, loss, lm, graph)
-        assert nll[b] == one_nll
-        for k, g in one_grads.items():
-            acc[k] += g
+        Z, cache = model_mod.model_forward(model, frames)
+        result = ctc_loss(Z, labels) if loss == "ctc" else crf_loss(Z, labels, lm, graph=graph)
+        assert nll[b] == result.nll
+        enc = encoder_backward(model.encoder_config, model.encoder_params, cache["enc"], result.dZ @ cache["E"])
+        head = heads_mod.head_backward(model.head, model.P, cache["head"], result.dZ.T @ cache["H_seq"])
+        for k, g in enc.items():
+            acc[f"enc.{k}"] += g
+        for k, g in head.items():
+            acc[f"head.{k}"] += g
     assert grads.keys() == acc.keys()
     assert all(np.array_equal(grads[k], acc[k]) for k in acc)
 
