@@ -5,11 +5,16 @@ edges) and passed through a stack of tanh layers, so h_t depends only on the
 frames within `context` of t.  The backward pass is written by hand and gives
 exact parameter gradients, so the whole model can be finite-difference
 checked; the frames are data, so it computes no gradient for them.
+
+A batch runs as one pass: its utterances' frames are stacked, each is spliced
+within its own frames and padded at its own edges, and every layer then runs
+once over all the rows.  One utterance is the batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -41,25 +46,39 @@ def encoder_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _splice(x: np.ndarray, w: int) -> np.ndarray:
-    """T x D frames -> T x (2w+1)D rows of zero-padded context windows."""
+def _splice(x: np.ndarray, w: int, lengths) -> np.ndarray:
+    """T x D stacked frames -> T x (2w+1)D rows of context windows, each
+    utterance (lengths[b] rows, in order) zero padded at its own edges."""
     if w == 0:
         return x
     T, D = x.shape
     padded = np.zeros((T + 2 * w, D))
     padded[w : w + T] = x
-    return np.concatenate([padded[k : k + T] for k in range(2 * w + 1)], axis=1)
+    spliced = np.concatenate([padded[k : k + T] for k in range(2 * w + 1)], axis=1)
+    windows = spliced.reshape(T, 2 * w + 1, D)  # a view: windows[t, w + o] holds frame t + o
+    for end in accumulate(lengths[:-1]):  # zero what reaches across a boundary
+        for o in range(1, w + 1):
+            windows[max(end - o, 0) : end, w + o] = 0.0
+            windows[end : end + o, w - o] = 0.0
+    return spliced
 
 
-def encoder_forward(config: EncoderConfig, params: dict[str, np.ndarray], x: np.ndarray):
-    """Run the encoder over T x D frames; returns (H_seq, cache)."""
+def encoder_forward(config: EncoderConfig, params: dict[str, np.ndarray], x: np.ndarray, lengths=None):
+    """Run the encoder over T x D frames; returns (H_seq, cache).
+
+    x stacks the frames of utterances of these lengths (default: one
+    utterance); each is spliced within its own frames.
+    """
     if x.ndim != 2 or x.shape[1] != config.input_dim:
         raise DimensionMismatch(f"frames must be T x {config.input_dim}, got {x.shape}")
+    lengths = [len(x)] if lengths is None else lengths
+    if sum(lengths) != len(x) or any(n < 0 for n in lengths):
+        raise DimensionMismatch(f"utterance lengths {list(lengths)} do not stack to {len(x)} frames")
     if not np.isfinite(x).all():
         raise NonFiniteInput("acoustic frames contain non-finite entries")
     n_layers = len(config.hidden) + 1
 
-    a = _splice(x, config.context)
+    a = _splice(x, config.context, lengths)
     inputs = []  # input to each layer
     outputs = []
     for i in range(n_layers):

@@ -12,13 +12,13 @@ with `embeddings(model)` and passes that (E, head cache) pair to
 `model_forward` or the loss functions; each computes it itself when it is not
 given.
 
-`batch_loss_and_grads` is the training step: each utterance is forwarded and
-backpropagated on its own, because stacking utterances changes the bits of
-the matmuls, while `batch_loss` scores the whole batch with one
-`log_posteriors` over the stacked logits and one call of the CTC lattice
-kernel (the CTC-CRF denominator still runs per utterance).  The
-gradients are summed from zeros in batch order.  `model_loss_and_grads` is
-the batch of one.
+`batch_loss_and_grads` is the training step, one stacked pass per batch: one
+encoder forward over the batch's stacked frames (each utterance spliced
+within its own frames), one logits product, one `batch_loss` call (one
+`log_posteriors` and one call of the CTC lattice kernel; the CTC-CRF
+denominator still runs per utterance), one encoder backward and one head
+backward, so the gradients are summed over the batch inside the matmuls.
+`model_loss_and_grads` is the batch of one.
 """
 
 from __future__ import annotations
@@ -181,22 +181,25 @@ def model_forward(
     model: AcousticModel,
     frames: np.ndarray,
     emb: tuple[np.ndarray, np.ndarray | None] | None = None,
+    lengths=None,
 ):
     """Returns (Z, cache) where Z is the T x N logit matrix.
 
-    emb, if given, must be `embeddings(model)` of the current parameters.
+    frames stacks the frames of utterances of these lengths (default: one
+    utterance), and Z stacks their logits the same way.  emb, if given, must
+    be `embeddings(model)` of the current parameters.
     """
-    H_seq, enc_cache = encoder_forward(model.encoder_config, model.encoder_params, frames)
+    H_seq, enc_cache = encoder_forward(model.encoder_config, model.encoder_params, frames, lengths)
     E, head_cache = embeddings(model) if emb is None else emb
     Z = logits(E, H_seq)
     return Z, {"enc": enc_cache, "H_seq": H_seq, "E": E, "head": head_cache}
 
 
-def batch_loss(Zs, labels, loss: str = "ctc", lm: PhoneLM | None = None,
+def batch_loss(Z, lengths, labels, loss: str = "ctc", lm: PhoneLM | None = None,
                graph: DenominatorGraph | None = None, backward: bool = True):
-    """(nll per utterance, dL/dZ stacked as the logits Zs are, or None without
-    `backward`) in one lattice-kernel call; the labels are taken as feasible."""
-    Z, lengths = np.concatenate(Zs), [len(Z) for Z in Zs]
+    """(nll per utterance, dL/dZ stacked as the logits Z are, or None without
+    `backward`) in one lattice-kernel call; Z stacks the logits of utterances
+    of these lengths, whose labels are taken as feasible."""
     if loss == "ctc":
         return ctc_mod.ctc_batch_loss(Z, lengths, labels, backward)
     if loss == "ctc_crf":
@@ -213,28 +216,21 @@ def batch_loss_and_grads(
     emb: tuple[np.ndarray, np.ndarray | None] | None = None,
 ):
     """A batch of (frames, labels) pairs with feasible labels: (nll per
-    utterance, exact analytic gradients summed over the batch in its order).
+    utterance, exact analytic gradients summed over the batch).
 
-    Each utterance is forwarded and backpropagated on its own, since stacking
-    them would change the bits of the matmuls; one `batch_loss` call scores
-    them all.  emb, if given, must be `embeddings(model)` of the current
-    parameters.
+    The batch runs as one stacked pass: one forward, one `batch_loss` call,
+    one encoder backward on dZ E and one head backward on dZ^T H.  emb, if
+    given, must be `embeddings(model)` of the current parameters.
     """
-    emb = embeddings(model) if emb is None else emb
-    forwards = [model_forward(model, frames, emb) for frames, _ in batch]
-    nll, dZ = batch_loss([Z for Z, _ in forwards], [labels for _, labels in batch], loss, lm, graph)
-
-    grads = {k: np.zeros_like(p) for k, p in model_params(model).items()}
-    end = 0
-    for Z, cache in forwards:
-        dZ_u = dZ[end : end + len(Z)]
-        end += len(Z)
-        enc_grads = encoder_backward(model.encoder_config, model.encoder_params, cache["enc"], dZ_u @ cache["E"])
-        h_grads = head_backward(model.head, model.P, cache["head"], dZ_u.T @ cache["H_seq"])
-        for k, g in enc_grads.items():
-            grads[f"enc.{k}"] += g
-        for k, g in h_grads.items():
-            grads[f"head.{k}"] += g
+    frames, labels = zip(*batch)
+    lengths = [len(x) for x in frames]
+    Z, cache = model_forward(model, np.concatenate(frames), emb, lengths)
+    nll, dZ = batch_loss(Z, lengths, labels, loss, lm, graph)
+    enc_grads = encoder_backward(model.encoder_config, model.encoder_params, cache["enc"], dZ @ cache["E"])
+    head_grads = head_backward(model.head, model.P, cache["head"], dZ.T @ cache["H_seq"])
+    # in `model_params` order, the order the global gradient norm sums in
+    grads = {f"enc.{k}": enc_grads[k] for k in model.encoder_params}
+    grads.update({f"head.{k}": g for k, g in head_grads.items()})
     return nll, grads
 
 

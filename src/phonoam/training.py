@@ -5,11 +5,12 @@ whenever the dev loss stops improving by more than MIN_DELTA for PATIENCE
 epochs, stopping once the rate drops below LR_FLOOR (1e-5).  An epoch whose
 dev loss is NaN (every dev utterance infeasible) leaves the schedule as is.
 
-Each optimizer step is one `batch_loss_and_grads` call, which scores the
-whole batch with one loss-kernel call.  Each epoch's dev pass forwards every
-dev utterance once, `batch_size` utterances at a time: it decodes each for PER
-by `evaluate`'s charging rule and scores the loss of the feasible ones with
-the forward recursion alone, so it runs no backward pass.
+Each optimizer step is one `batch_loss_and_grads` call, which runs the whole
+batch as one stacked pass: one forward, one loss-kernel call and one
+backward.  Each epoch's dev pass forwards the dev utterances `batch_size` at a
+time, one stacked forward per chunk, so each utterance once: it decodes each
+for PER by `evaluate`'s charging rule and scores the loss of the feasible ones
+with the forward recursion alone, so it runs no backward pass.
 
 The embeddings and the nonlinear head's hidden layer depend only on the
 parameters, so `train` computes them once per optimizer step and once per dev
@@ -102,7 +103,13 @@ def adam_step(
     state: AdamState,
     lr: float,
 ) -> dict[str, np.ndarray]:
-    """Standard bias-corrected Adam update; returns the new parameter dict."""
+    """Standard bias-corrected Adam update; returns the new parameter dict.
+
+    The moments are updated in place, in the operation order of
+    m = BETA1 m + (1 - BETA1) g and v = BETA2 v + (1 - BETA2) g g, so their
+    bits are the formula's.  The parameters are new arrays: a model extended
+    by `extend_model` shares its encoder arrays with the model it extends.
+    """
     state.step += 1
     t = state.step
     out = {}
@@ -110,11 +117,21 @@ def adam_step(
         g = grads[name]
         if g.shape != p.shape:
             raise DimensionMismatch(f"{name}: grad {g.shape} vs param {p.shape}")
-        state.m[name] = BETA1 * state.m[name] + (1 - BETA1) * g
-        state.v[name] = BETA2 * state.v[name] + (1 - BETA2) * g * g
-        m_hat = state.m[name] / (1 - BETA1**t)
-        v_hat = state.v[name] / (1 - BETA2**t)
-        out[name] = p - lr * m_hat / (np.sqrt(v_hat) + EPS)
+        m, v = state.m[name], state.v[name]
+        step = np.multiply(1 - BETA1, g)
+        m *= BETA1
+        m += step
+        np.multiply(1 - BETA2, g, out=step)
+        step *= g
+        v *= BETA2
+        v += step
+        np.divide(m, 1 - BETA1**t, out=step)  # m_hat
+        step *= lr
+        denom = np.divide(v, 1 - BETA2**t)  # v_hat
+        np.sqrt(denom, out=denom)
+        denom += EPS
+        step /= denom
+        out[name] = p - step
     return out
 
 
@@ -157,13 +174,17 @@ def _dev_pass(model, dev, config: TrainConfig, lm, graph) -> tuple[float, float]
     losses = []
     for start in range(0, len(dev), config.batch_size):
         chunk = dev[start : start + config.batch_size]
-        Zs = [model_forward(model, utt.frames, emb)[0] for utt, _ in chunk]
+        lengths = [len(utt.frames) for utt, _ in chunk]
+        Z, _ = model_forward(model, np.concatenate([utt.frames for utt, _ in chunk]), emb, lengths)
+        Zs = np.split(Z, np.cumsum(lengths)[:-1])
         for Z, (utt, _) in zip(Zs, chunk):
             charge(result, model.units, Z, utt.phones)
         scored = [(Z, labels) for Z, (_, labels) in zip(Zs, chunk) if labels is not None]
         if scored:
             Zs, labels = zip(*scored)
-            losses.extend(batch_loss(Zs, labels, config.loss, lm, graph, backward=False)[0])
+            nll, _ = batch_loss(np.concatenate(Zs), [len(Z) for Z in Zs], labels, config.loss, lm, graph,
+                                backward=False)
+            losses.extend(nll)
     return (float(np.mean(losses)) if losses else float("nan")), result.per
 
 

@@ -105,3 +105,37 @@ def test_finite_difference_gradients():
             fd = (up - down) / (2 * eps)
             rel = abs(fd - grads[name][idx]) / max(abs(fd), abs(grads[name][idx]), 1e-6)
             assert rel < 1e-4, (name, idx)
+
+
+@pytest.mark.parametrize(
+    "context, lengths",
+    [
+        (1, [4, 7, 5]),
+        (2, [1, 1, 6, 1]),  # 1-frame utterances
+        (3, [2, 9, 1, 3]),  # utterances shorter than the context
+        (0, [3, 5]),
+        (2, [6]),  # a batch of one
+    ],
+)
+def test_stacked_batch_matches_each_utterance_alone(context, lengths):
+    cfg = small_config(context=context, hidden=(6, 4))
+    params = glorot_params(encoder_shapes(cfg), RNG)
+    xs = [RNG.normal(size=(n, 3)) for n in lengths]
+    H, cache = encoder_forward(cfg, params, np.concatenate(xs), lengths)
+    alone = [encoder_forward(cfg, params, x) for x in xs]
+    # each utterance is spliced within its own frames, padded at its own edges
+    spliced = np.concatenate([c["inputs"][0] for _, c in alone])
+    assert cache["inputs"][0].tobytes() == spliced.tobytes()
+    # the layers run on all rows at once, which may round differently
+    assert np.allclose(H, np.concatenate([h for h, _ in alone]), rtol=0, atol=1e-12)
+
+
+def test_stacked_batch_refused_when_any_utterance_is_not_finite():
+    cfg = small_config()
+    params = glorot_params(encoder_shapes(cfg), RNG)
+    x = RNG.normal(size=(9, 3))
+    x[7, 1] = np.inf  # in the last utterance
+    with pytest.raises(NonFiniteInput):
+        encoder_forward(cfg, params, x, [3, 4, 2])
+    with pytest.raises(DimensionMismatch):
+        encoder_forward(cfg, params, x[:8], [3, 4, 2])

@@ -17,8 +17,11 @@ from phonoam.errors import DimensionMismatch, EmptyCorpus, InvalidTrainConfig, I
 from phonoam.evaluate import evaluate
 from phonoam.features import SpecialToken, builtin_table, encode_inventory
 from phonoam.inventory import LanguageInventory, merge_inventories
-from phonoam.model import build_model, model_params, params_checksum
+from phonoam.model import build_model, extend_model, model_params, params_checksum
 from phonoam.training import (
+    BETA1,
+    BETA2,
+    EPS,
     LR_FACTOR,
     LR_FLOOR,
     TrainConfig,
@@ -71,6 +74,27 @@ class TestAdam:
         adam_step(params, {"w": np.ones(2)}, state, 0.1)
         adam_step(params, {"w": np.ones(2)}, state, 0.1)
         assert state.step == 2
+
+    def test_matches_the_formula_bitwise(self):
+        rng = np.random.default_rng(4)
+        params = {"w": rng.normal(size=(3, 5)), "b": rng.normal(size=5)}
+        state = init_adam(params)
+        # the out-of-place formula, kept here as the reference
+        p = dict(params)
+        m = {k: np.zeros_like(x) for k, x in params.items()}
+        v = {k: np.zeros_like(x) for k, x in params.items()}
+        for t in range(1, 6):
+            grads = {k: rng.normal(scale=10.0 ** (t - 3), size=x.shape) for k, x in params.items()}
+            new = adam_step(params, grads, state, lr=0.003)
+            for k, g in grads.items():
+                m[k] = BETA1 * m[k] + (1 - BETA1) * g
+                v[k] = BETA2 * v[k] + (1 - BETA2) * g * g
+                m_hat = m[k] / (1 - BETA1**t)
+                v_hat = v[k] / (1 - BETA2**t)
+                p[k] = p[k] - 0.003 * m_hat / (np.sqrt(v_hat) + EPS)
+                assert np.array_equal(state.m[k], m[k]) and np.array_equal(state.v[k], v[k])
+                assert np.array_equal(new[k], p[k]) and new[k] is not params[k]
+            params = new
 
     def test_shape_mismatch_rejected(self):
         params = {"w": np.ones(3)}
@@ -226,22 +250,29 @@ def test_each_dev_utterance_forwarded_once_per_dev_pass(held_out, monkeypatch):
     forwarded = count_calls(monkeypatch, training, "model_forward")
     scored = count_calls(monkeypatch, training, "batch_loss")
     train_set, dev_set = (utts[:8], [*utts[8:], short]) if held_out else (utts, [])
-    report = train(model, train_set, dev_set, TrainConfig(max_epochs=3, batch_size=3))
+    batch_size = 3
+    report = train(model, train_set, dev_set, TrainConfig(max_epochs=3, batch_size=batch_size))
     # without a dev set the dev pass runs over the training utterances
-    per_pass = len(dev_set) if held_out else len(train_set)
-    assert len(forwarded) == per_pass * len(report.dev_loss)
-    frames = [id(args[1]) for args in forwarded]
-    assert frames[:per_pass] == [id(u.frames) for u in (dev_set or train_set)]
+    dev = dev_set or train_set
+    passes = len(report.dev_loss)
+    # one stacked forward per chunk of at most batch_size utterances, which
+    # together forward the dev set's frames once per pass, in order
+    assert len(forwarded) <= math.ceil(len(dev) / batch_size) * passes
+    assert all(len(args[3]) <= batch_size for args in forwarded)
+    assert sum(len(args[1]) for args in forwarded) == sum(len(u.frames) for u in dev) * passes
+    first = forwarded[: len(forwarded) // passes]
+    assert np.array_equal(np.concatenate([args[1] for args in first]), np.concatenate([u.frames for u in dev]))
+    assert [n for args in first for n in args[3]] == [len(u.frames) for u in dev]
     # the loss of the feasible ones, scored batch_size at a time: no pass
     # holds the logits of the whole dev set
-    feasible = per_pass - held_out
-    assert sum(len(args[0]) for args in scored) == feasible * len(report.dev_loss)
-    assert max(len(args[0]) for args in scored) == 3
+    feasible = len(dev) - held_out
+    assert sum(len(args[1]) for args in scored) == feasible * passes
+    assert max(len(args[1]) for args in scored) == batch_size
 
 
 @pytest.mark.parametrize("head", ["flat", "linear", "nonlinear"])
 @pytest.mark.parametrize("loss", ["ctc", "ctc_crf"])
-def test_batch_step_sums_the_per_utterance_gradients_bitwise(head, loss):
+def test_batch_step_matches_the_per_utterance_gradients(head, loss):
     model, utts = make_setup(head=head)
     index = model.unit_index()
     batch = [(u.frames, [index[p] for p in u.phones]) for u in utts[:7]]
@@ -256,15 +287,17 @@ def test_batch_step_sums_the_per_utterance_gradients_bitwise(head, loss):
     for b, (frames, labels) in enumerate(batch):
         Z, cache = model_mod.model_forward(model, frames)
         result = ctc_loss(Z, labels) if loss == "ctc" else crf_loss(Z, labels, lm, graph=graph)
-        assert nll[b] == result.nll
+        assert abs(nll[b] - result.nll) <= 1e-12 * abs(result.nll)
         enc = encoder_backward(model.encoder_config, model.encoder_params, cache["enc"], result.dZ @ cache["E"])
         head = heads_mod.head_backward(model.head, model.P, cache["head"], result.dZ.T @ cache["H_seq"])
         for k, g in enc.items():
             acc[f"enc.{k}"] += g
         for k, g in head.items():
             acc[f"head.{k}"] += g
-    assert grads.keys() == acc.keys()
-    assert all(np.array_equal(grads[k], acc[k]) for k in acc)
+    # the stacked pass sums in the matmuls, in another order than the loop
+    assert list(grads) == list(acc)
+    for k, g in acc.items():
+        assert np.abs(grads[k] - g).max() <= 1e-12 * np.abs(g).max(), k
 
 
 @pytest.mark.parametrize("loss", ["ctc", "ctc_crf"])
@@ -306,6 +339,15 @@ class TestMultilingualAndFinetune:
         model, _ = make_setup()
         with pytest.raises(EmptyCorpus):
             train_multilingual({"L1": []}, model, TrainConfig(max_epochs=1))
+
+    def test_finetuning_an_extension_leaves_the_original_encoder(self):
+        model, utts = make_setup()
+        new_P = encode_inventory(TABLE, [PHONES[4]], specials=[])
+        extended = extend_model(model, (PHONES[4],), new_P)
+        before = {k: v.copy() for k, v in model.encoder_params.items()}
+        finetune(extended, utts[:4], TrainConfig(max_epochs=2))
+        assert all(np.array_equal(model.encoder_params[k], v) for k, v in before.items())
+        assert not np.array_equal(extended.encoder_params["W0"], before["W0"])
 
     def test_finetune_moves_parameters(self):
         model, utts = make_setup()
