@@ -9,8 +9,7 @@ The embeddings E, and the head's cache that its backward pass reads (the
 nonlinear head's hidden layer), depend only on the head's parameters.  So a
 caller that runs many utterances between parameter updates computes them once
 with `embeddings(model)` and passes that (E, head cache) pair to
-`model_forward` or the loss functions; each computes it itself when it is not
-given.
+`model_forward`, which computes it itself when it is not given.
 
 `batch_loss_and_grads` is the training step, one stacked pass per batch: one
 encoder forward over the batch's stacked frames (each utterance spliced
@@ -137,7 +136,7 @@ def extend_model(
     mode: str = "phonology",
     seed: int | None = None,
 ) -> AcousticModel:
-    """New model covering M extra units, without touching trained parameters.
+    """New model covering M extra units, sharing no array with the model.
 
     new_P holds the M x 51 phonological-vectors of the new units.  Modes:
 
@@ -160,12 +159,12 @@ def extend_model(
             rows = np.tile(head.E.mean(axis=0), (m, 1))
         head = FlatHead(E=np.concatenate([head.E, rows], axis=0))
     elif not isinstance(head, FlatHead) and mode == "phonology":
-        head = copy.deepcopy(head)  # finetuning the extension must not touch the original
+        head = copy.deepcopy(head)
     else:
         raise ModeHeadMismatch(f"extension mode {mode!r} does not apply to a {head_kind(head)} head")
     return AcousticModel(
         encoder_config=model.encoder_config,
-        encoder_params=dict(model.encoder_params),
+        encoder_params={k: v.copy() for k, v in model.encoder_params.items()},
         head=head,
         P=np.concatenate([model.P, new_P], axis=0),
         units=model.units + tuple(new_units),
@@ -213,18 +212,16 @@ def batch_loss_and_grads(
     loss: str = "ctc",
     lm: PhoneLM | None = None,
     graph: DenominatorGraph | None = None,
-    emb: tuple[np.ndarray, np.ndarray | None] | None = None,
 ):
     """A batch of (frames, labels) pairs with feasible labels: (nll per
     utterance, exact analytic gradients summed over the batch).
 
     The batch runs as one stacked pass: one forward, one `batch_loss` call,
-    one encoder backward on dZ E and one head backward on dZ^T H.  emb, if
-    given, must be `embeddings(model)` of the current parameters.
+    one encoder backward on dZ E and one head backward on dZ^T H.
     """
     frames, labels = zip(*batch)
     lengths = [len(x) for x in frames]
-    Z, cache = model_forward(model, np.concatenate(frames), emb, lengths)
+    Z, cache = model_forward(model, np.concatenate(frames), lengths=lengths)
     nll, dZ = batch_loss(Z, lengths, labels, loss, lm, graph)
     enc_grads = encoder_backward(model.encoder_config, model.encoder_params, cache["enc"], dZ @ cache["E"])
     head_grads = head_backward(model.head, model.P, cache["head"], dZ.T @ cache["H_seq"])
@@ -241,14 +238,12 @@ def model_loss_and_grads(
     loss: str = "ctc",
     lm: PhoneLM | None = None,
     graph: DenominatorGraph | None = None,
-    emb: tuple[np.ndarray, np.ndarray | None] | None = None,
 ):
     """One utterance, the batch of one: (nll, grads dict).
 
-    InfeasibleLength unless the labels fit the frames.  emb, if given, must be
-    `embeddings(model)` of the current parameters.
+    InfeasibleLength unless the labels fit the frames.
     """
     labels = list(labels)
     check_labels(labels, len(frames), model.n_units)
-    nll, grads = batch_loss_and_grads(model, [(frames, labels)], loss, lm, graph, emb)
+    nll, grads = batch_loss_and_grads(model, [(frames, labels)], loss, lm, graph)
     return nll[0], grads

@@ -15,8 +15,11 @@ with the forward recursion alone, so it runs no backward pass.
 The embeddings and the nonlinear head's hidden layer depend only on the
 parameters, so `train` computes them once per optimizer step and once per dev
 pass; every utterance of a batch or a pass shares them, in its forward and its
-backward pass.  Likewise each utterance's phones are mapped to labels and
-checked once per `train` call, not per epoch.
+backward pass.  Likewise each utterance's frame width, and its phones mapped to
+labels, are checked once per `train` call, not per epoch.
+
+Adam writes each step into the model's own arrays, which no other model
+shares (`extend_model` copies them), so `train` takes them once.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .model import (
     model_loss_and_grads,
     model_params,
     params_checksum,
-    set_model_params,
 )
 
 # perfbench/layers.py looks up `greedy_decode` and `model_loss_and_grads` on
@@ -102,17 +104,15 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float,
-) -> dict[str, np.ndarray]:
-    """Standard bias-corrected Adam update; returns the new parameter dict.
+) -> None:
+    """Standard bias-corrected Adam update of the parameter arrays, in place.
 
-    The moments are updated in place, in the operation order of
-    m = BETA1 m + (1 - BETA1) g and v = BETA2 v + (1 - BETA2) g g, so their
-    bits are the formula's.  The parameters are new arrays: a model extended
-    by `extend_model` shares its encoder arrays with the model it extends.
+    Moments and parameters are updated in place, in the operation order of
+    m = BETA1 m + (1 - BETA1) g, v = BETA2 v + (1 - BETA2) g g and
+    p = p - lr m_hat / (sqrt(v_hat) + EPS), so their bits are the formula's.
     """
     state.step += 1
     t = state.step
-    out = {}
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -131,8 +131,7 @@ def adam_step(
         np.sqrt(denom, out=denom)
         denom += EPS
         step /= denom
-        out[name] = p - step
-    return out
+        p -= step
 
 
 @dataclass
@@ -198,12 +197,17 @@ def train(
 
     With loss "ctc_crf", a label n-gram LM is estimated from the training
     transcripts (order from the config).  InventoryMismatch if a training or
-    dev utterance holds a phone the model lacks.
+    dev utterance holds a phone the model lacks, DimensionMismatch if one's
+    frames are not as wide as the encoder's input.
     """
     if not train_set:
         raise EmptyCorpus("no training utterances")
     index = model.unit_index()
     check_covered(index, [*train_set, *dev_set])
+    width = model.encoder_config.input_dim
+    for utt in [*train_set, *dev_set]:
+        if utt.frames.shape[1:] != (width,):
+            raise DimensionMismatch(f"frames must be T x {width}, got {utt.frames.shape} ({utt.language_id})")
     report = TrainReport()
 
     lm = graph = None
@@ -246,8 +250,7 @@ def train(
             epoch_losses.extend(nll)
             acc = {k: g / len(batch) for k, g in acc.items()}
             acc = _clip_global(acc, CLIP_NORM)
-            params = adam_step(params, acc, adam, lr)
-            set_model_params(model, params)
+            adam_step(params, acc, adam, lr)
 
         report.train_loss.append(float(np.mean(epoch_losses)))
         dev_loss, dev_per = _dev_pass(model, dev, config, lm, graph)

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -674,6 +675,36 @@ def test_finetune_fails_cleanly_on_uncovered_corpus(trained, workdir, capsys):
                  "--epochs", "1", "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err == "error: phones ['kʲ'] not covered by the model\n"
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def narrow(workdir):
+    """Three L2 utterances of 4-wide frames, where the other corpora's are 6 wide."""
+    path = workdir / "narrow.jsonl"
+    assert main(["synth", "--features", str(workdir / "features.tsv"), "--inventory", str(workdir / "L2.json"),
+                 "--dim", "4", "--utterances", "3", "--seed", "3", "--out", str(path)]) == 0
+    return path
+
+
+def test_train_refuses_mixed_frame_widths(narrow, workdir, capsys):
+    # the model takes the first corpus's width; batches and dev chunks would mix both
+    out = workdir / "mixed.npz"
+    code = main(["train", "--features", str(workdir / "features.tsv"),
+                 "--inventories", str(workdir / "L1.json"), str(workdir / "L2.json"),
+                 "--corpus", str(workdir / "L1.jsonl"), str(narrow),
+                 "--context", "1", "--hidden", "8", "--width", "8", "--head-hidden", "4", "--out", str(out)])
+    assert code == 2
+    assert re.fullmatch(r"error: frames must be T x 6, got \(\d+, 4\) \(L2\)\n", capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_finetune_refuses_mixed_frame_widths(narrow, trained, workdir, capsys):
+    out = workdir / "mixed_ft.npz"
+    code = main(["finetune", "--checkpoint", str(trained), "--corpus", str(narrow), str(workdir / "L1.jsonl"),
+                 "--epochs", "1", "--out", str(out)])
+    assert code == 2
+    assert re.fullmatch(r"error: frames must be T x 6, got \(\d+, 4\) \(L2\)\n", capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -9,6 +9,7 @@ from phonoam.heads import FlatHead, compute_embeddings
 from phonoam.inventory import LanguageInventory, merge_inventories
 from phonoam.lm import train_phone_lm
 from phonoam.model import (
+    batch_loss,
     build_model,
     embeddings,
     extend_model,
@@ -82,11 +83,25 @@ def test_given_embeddings_change_no_bit(head, loss):
     lm = None
     if loss == "ctc_crf":
         lm = train_phone_lm([labels, [3]], order=2, smoothing=1.0, vocab=range(1, len(ps.units)))
-    nll, grads = model_loss_and_grads(model, frames, labels, loss, lm)
-    given_nll, given_grads = model_loss_and_grads(model, frames, labels, loss, lm, None, embeddings(model))
-    assert given_nll == nll
-    assert given_grads.keys() == grads.keys()
-    assert all(np.array_equal(given_grads[k], grads[k]) for k in grads)
+    Z, cache = model_forward(model, frames)
+    given_Z, given_cache = model_forward(model, frames, embeddings(model))
+    assert np.array_equal(given_Z, Z)
+    assert same_bits(given_cache, cache)
+    # and so is the loss scored from them, as the dev pass scores it
+    nll, dZ = batch_loss(Z, [5], [labels], loss, lm)
+    given_nll, given_dZ = batch_loss(given_Z, [5], [labels], loss, lm)
+    assert np.array_equal(given_nll, nll) and np.array_equal(given_dZ, dZ)
+
+
+def same_bits(a, b) -> bool:
+    """Equal structure and equal values, arrays compared element by element."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_bits(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_bits, a, b))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
 
 
 def test_head_hidden_below_one_rejected():
@@ -103,6 +118,17 @@ class TestExtend:
         ext = extend_model(model, (PHONES[5],), newP, mode="phonology")
         ext.head.A1 += 1.0  # simulate finetuning on the extension
         assert params_checksum(model_params(model)) == before
+
+    @pytest.mark.parametrize("head, mode", [
+        ("flat", "random"), ("flat", "mean_of_seen"), ("linear", "phonology"), ("nonlinear", "phonology"),
+    ])
+    def test_extension_shares_no_array_with_the_original(self, head, mode):
+        model, _ = tiny_model(head)
+        newP = encode_inventory(TABLE, [PHONES[5]], specials=[])
+        ext = extend_model(model, (PHONES[5],), newP, mode=mode, seed=1)
+        original = [*model_params(model).values(), model.P]
+        for name, a in [*model_params(ext).items(), ("P", ext.P)]:
+            assert not any(np.shares_memory(a, b) for b in original), name
 
     def test_phonology_extension_changes_no_parameters(self):
         model, _ = tiny_model("linear")

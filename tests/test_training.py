@@ -57,16 +57,17 @@ class TestAdam:
     def test_first_step_is_signed_lr(self):
         params = {"w": np.array([1.0, -2.0, 3.0])}
         grads = {"w": np.array([0.5, -0.1, 2.0])}
+        before = params["w"].copy()
         state = init_adam(params)
-        new = adam_step(params, grads, state, lr=0.01)
+        assert adam_step(params, grads, state, lr=0.01) is None
         # with bias correction the first update is lr * sign(g) up to eps
-        assert np.allclose(new["w"], params["w"] - 0.01 * np.sign(grads["w"]), atol=1e-6)
+        assert np.allclose(params["w"], before - 0.01 * np.sign(grads["w"]), atol=1e-6)
 
     def test_zero_gradient_is_fixed_point(self):
         params = {"w": np.arange(4.0)}
         state = init_adam(params)
-        new = adam_step(params, {"w": np.zeros(4)}, state, lr=0.1)
-        assert np.array_equal(new["w"], params["w"])
+        adam_step(params, {"w": np.zeros(4)}, state, lr=0.1)
+        assert np.array_equal(params["w"], np.arange(4.0))
 
     def test_step_counter_advances(self):
         params = {"w": np.ones(2)}
@@ -79,13 +80,14 @@ class TestAdam:
         rng = np.random.default_rng(4)
         params = {"w": rng.normal(size=(3, 5)), "b": rng.normal(size=5)}
         state = init_adam(params)
+        arrays = dict(params)  # the arrays the step must write into
         # the out-of-place formula, kept here as the reference
-        p = dict(params)
+        p = {k: x.copy() for k, x in params.items()}
         m = {k: np.zeros_like(x) for k, x in params.items()}
         v = {k: np.zeros_like(x) for k, x in params.items()}
         for t in range(1, 6):
             grads = {k: rng.normal(scale=10.0 ** (t - 3), size=x.shape) for k, x in params.items()}
-            new = adam_step(params, grads, state, lr=0.003)
+            adam_step(params, grads, state, lr=0.003)
             for k, g in grads.items():
                 m[k] = BETA1 * m[k] + (1 - BETA1) * g
                 v[k] = BETA2 * v[k] + (1 - BETA2) * g * g
@@ -93,8 +95,7 @@ class TestAdam:
                 v_hat = v[k] / (1 - BETA2**t)
                 p[k] = p[k] - 0.003 * m_hat / (np.sqrt(v_hat) + EPS)
                 assert np.array_equal(state.m[k], m[k]) and np.array_equal(state.v[k], v[k])
-                assert np.array_equal(new[k], p[k]) and new[k] is not params[k]
-            params = new
+                assert params[k] is arrays[k] and np.array_equal(params[k], p[k])
 
     def test_shape_mismatch_rejected(self):
         params = {"w": np.ones(3)}
