@@ -14,22 +14,28 @@ automaton.  With lm=None the potential is self-normalized and the loss
 coincides with plain CTC.
 
 The graph's transitions are held as a dense S x S matrix of edge weights
-(probabilities, 0 where there is no edge).  The forward and backward
-recursions run as the two rows of one loop over frames, the backward row over
-the frames reversed, so each frame is one max, one exp and one log for both
-rows and one matrix-vector product per row, each row shifted by its maximum:
-only the loop over frames is left in Python.  It runs once per utterance; a
-loss that needs no gradient runs the forward row alone.  The per-state edge
-lists the graph also keeps are read only by the benchmark harness, which
-counts the graph's edges from them.
+(probabilities, 0 where there is no edge).  `denominator_forward_backward`
+scores a whole batch in one loop over frames, with the lane layout of CTC's
+`ctc_label_counts`: lane b runs utterance b's forward recursion and lane
+B + b its backward one over its own frames reversed.  Each frame is one max,
+one exp and one log over every lane, each lane shifted by its maximum, plus
+one matrix product for the forward lanes (v @ trans) and one for the backward
+lanes (v @ trans.T): only the loop over frames, as long as the longest
+utterance, is left in Python.  A loss that needs no gradient runs the forward
+lanes alone.  A lane past its own end reads its last real frame again, so its
+values stay finite and its padded cells, which are never read, cost nothing
+to guard.  Padding with -inf emissions, as the CTC kernel does, would be
+wrong here: the max shift of an all -inf lane is -inf - -inf, which is NaN.
+The per-state edge lists the graph also keeps are read only by the benchmark
+harness, which counts the graph's edges from them.
 
-`crf_batch_loss` scores a batch of utterances: the numerator of all of them
-is one call of CTC's batched lattice kernel, `ctc_label_counts`, and
-`crf_loss` is its batch of one.  The numerator keeps CTC's exact logaddexp
-lattice: the shift flushes states
-over ~745 nats below the frame's best to zero, and in a label lattice such a
-state may be the only one still able to reach the last label (at logit scale
-400, a shifted product got about half of random lattices wrong).
+`crf_batch_loss` scores a batch of utterances in one call of each kernel:
+CTC's batched lattice kernel, `ctc_label_counts`, for the numerator and
+`denominator_forward_backward` for the denominator; `crf_loss` is its batch
+of one.  The numerator keeps CTC's exact logaddexp lattice: the shift flushes
+states over ~745 nats below the frame's best to zero, and in a label lattice
+such a state may be the only one still able to reach the last label (at
+logit scale 400, a shifted product got about half of random lattices wrong).
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctc import BLANK, CtcResult, check_labels, ctc_label_counts
+from .ctc import BLANK, CtcResult, check_labels, ctc_label_counts, lane_rows
 from .heads import log_posteriors
 from .lm import PhoneLM
 
@@ -91,7 +97,9 @@ def build_denominator_graph(n_units: int, lm: PhoneLM | None) -> DenominatorGrap
     lm_weight = log_cont[c][:, None] + log_next[c[:, None], u]
     logw = np.where(new, lm_weight, 0.0)
 
-    incoming = [(np.flatnonzero(edge[:, j]), logw[edge[:, j], j]) for j in range(len(states))]
+    tgt, src = np.nonzero(edge.T)  # by target, each target's sources in order
+    cuts = np.cumsum(edge.sum(axis=0))[:-1]
+    incoming = list(zip(np.split(src, cuts), np.split(logw[src, tgt], cuts)))
     return DenominatorGraph(
         states=states,
         trans=np.where(edge, np.exp(logw), 0.0),
@@ -102,56 +110,67 @@ def build_denominator_graph(n_units: int, lm: PhoneLM | None) -> DenominatorGrap
     )
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    m = np.max(a)
-    if not np.isfinite(m):
-        return m
-    return m + np.log(np.exp(a - m).sum())
+def _logsumexp(a: np.ndarray):
+    """log(sum(exp(a))) over the last axis, each row shifted by its maximum; a
+    row whose maximum is not finite gives that maximum."""
+    m = np.max(a, axis=-1)
+    finite = np.isfinite(m)
+    shift = np.where(finite, m, 0.0)
+    with np.errstate(divide="ignore"):
+        total = shift + np.log(np.exp(a - shift[..., None]).sum(axis=-1))
+    return np.where(finite, total, m)
 
 
-def denominator_forward_backward(graph: DenominatorGraph, logy: np.ndarray, backward: bool = True):
-    """(log denominator, expected per-frame unit counts under the CRF, or None
-    without `backward`).
+def denominator_forward_backward(graph: DenominatorGraph, logy: np.ndarray, lengths=None,
+                                 backward: bool = True):
+    """(log denominator per utterance, expected per-frame unit counts under the
+    CRF stacked as logy is, or None without `backward`).
 
-    Row 0 of the frame loop is the forward recursion and row 1 the backward
-    one over the reversed frames, as in `ctc_label_counts`; pre[t] holds each
-    row's value before frame t's emission.  Without `backward` only row 0
-    runs, which gives the same log denominator.  Each row is shifted by its
-    maximum before the exp and its product with `graph.trans` (v @ trans
-    forward, trans @ v backward); states no path reaches read -inf, since
-    log(0) is taken without a warning.
+    logy stacks the utterances' log-posteriors, lengths[b] rows each; without
+    `lengths` it is one utterance, and the log denominator is a float.  Lane b
+    of the frame loop is utterance b's forward recursion and, with
+    `backward`, lane B + b its backward one over its reversed frames (see
+    `lane_rows`); pre[t] holds each lane's value before step t's emission.
+    Without `backward` only the forward lanes run, which gives the same log
+    denominators.  Each lane is shifted by its maximum before the exp and its
+    product with `graph.trans` (v @ trans forward, v @ trans.T backward);
+    states no path reaches read -inf, since log(0) is taken without a warning.
     """
-    T, N = logy.shape
+    T = np.array([len(logy)] if lengths is None else lengths)
+    B = len(T)
     trans, unit = graph.trans, graph.states[:, 1]
-    emit = logy[:, unit]
-    pre = np.empty((T, 2 if backward else 1, len(unit)))
-    em = np.empty_like(pre)
-    em[:, 0], pre[0, 0] = emit, graph.init_logw
-    if backward:
-        em[:, 1], pre[0, 1] = emit[::-1], graph.final_logw
-    x = pre[0] + em[0]  # each row's value after the frame's emission
+    em = logy[:, unit][lane_rows(T, backward)]  # steps x lanes x states
+    pre = np.empty(em.shape)
+    pre[0, :B] = graph.init_logw
+    pre[0, B:] = graph.final_logw
+    x = pre[0] + em[0]  # each lane's value after the step's emission
     v, m = np.empty_like(x), np.empty((len(x), 1))
     with np.errstate(divide="ignore"):
-        for t in range(1, T):
+        for t in range(1, len(pre)):
             np.maximum.reduce(x, axis=1, keepdims=True, out=m)
             np.exp(np.subtract(x, m, out=v), out=v)
             p = pre[t]
-            np.matmul(v[0], trans, out=p[0])
+            np.matmul(v[:B], trans, out=p[:B])
             if backward:
-                np.matmul(trans, v[1], out=p[1])
+                np.matmul(v[B:], trans.T, out=p[B:])
             np.log(p, out=p)
             p += m
             np.add(p, em[t], out=x)
 
-    la = pre[:, 0] + emit
-    logden = _logsumexp(la[T - 1] + graph.final_logw)
-    if not backward:
-        return logden, None
-    lb = pre[::-1, 1]
-    gamma = np.exp(la + lb - logden)
-    counts = np.zeros((T, N))
-    np.add.at(counts.T, unit, gamma.T)
-    return logden, counts
+    b = np.arange(B)
+    logden = _logsumexp(pre[T - 1, b] + em[T - 1, b] + graph.final_logw)
+    counts = None
+    if backward:
+        # every utterance's frames in stacked order: step t of lane b, and
+        # step T_b - 1 - t of lane B + b; each frame's states are added in order
+        utt = np.repeat(b, T)
+        t = np.arange(len(utt)) - np.repeat(np.cumsum(T) - T, T)
+        la = pre[t, utt] + em[t, utt]
+        lb = pre[T[utt] - 1 - t, B + utt]
+        gamma = np.exp(la + lb - logden[utt, None])
+        cell = np.arange(len(utt))[:, None] * logy.shape[1] + unit
+        counts = np.bincount(cell.ravel(), gamma.ravel(), minlength=logy.size).reshape(logy.shape)
+    return (float(logden[0]) if lengths is None else logden), counts
 
 
 def crf_loss(
@@ -172,8 +191,8 @@ def crf_batch_loss(Z: np.ndarray, lengths, labels, lm: PhoneLM | None,
     """(nll per utterance, dL/dZ or None) for utterances whose logits are
     stacked in Z, lengths[b] rows each; the labels are taken as feasible.
 
-    The numerator is one batched `ctc_label_counts` call; the denominator
-    runs once per utterance.
+    The numerator is one `ctc_label_counts` call and the denominator one
+    `denominator_forward_backward` call over the same stacked log-posteriors.
     """
     if graph is None:
         graph = build_denominator_graph(Z.shape[1], lm)
@@ -181,13 +200,6 @@ def crf_batch_loss(Z: np.ndarray, lengths, labels, lm: PhoneLM | None,
     num_loglik, num_counts = ctc_label_counts(logy, lengths, labels, backward)
     lm_score = np.array([lm.score(lab) for lab in labels]) if lm is not None else 0.0
 
-    logden = np.empty(len(labels))
-    den_counts = np.empty_like(logy) if backward else None
-    end = np.cumsum(lengths)
-    for b, (lo, hi) in enumerate(zip(end - lengths, end)):
-        logden[b], counts = denominator_forward_backward(graph, logy[lo:hi], backward)
-        if backward:
-            den_counts[lo:hi] = counts
-
+    logden, den_counts = denominator_forward_backward(graph, logy, lengths, backward)
     nll = -(lm_score + num_loglik) + logden
     return nll, (den_counts - num_counts if backward else None)

@@ -73,6 +73,20 @@ def ctc_batch_loss(Z: np.ndarray, lengths, labels, backward: bool = True):
     return -loglik, (np.exp(logy) - counts if backward else None)
 
 
+def lane_rows(lengths, backward: bool = True) -> np.ndarray:
+    """The row of the stacked frames that each lane reads at each step, as a
+    (longest utterance) x lanes array.  Lane b steps through utterance b's
+    frames and, with `backward`, lane B + b through them reversed; a lane
+    past its own end reads its last frame again."""
+    T = np.asarray(lengths)
+    start = np.cumsum(T) - T
+    t = np.arange(T.max())[:, None]
+    rows = start + np.minimum(t, T - 1)
+    if backward:
+        rows = np.concatenate([rows, start + np.maximum(T - 1 - t, 0)], axis=1)
+    return rows
+
+
 def ctc_label_counts(logy: np.ndarray, lengths, labels, backward: bool = True):
     """(log p(l_b|x_b) per utterance, expected per-frame unit counts over the
     paths in B^-1(l_b), stacked as logy is, or None without `backward`).
@@ -104,12 +118,9 @@ def ctc_label_counts(logy: np.ndarray, lengths, labels, backward: bool = True):
         aug[B + utt, 2 * (L[utt] - pos) - 1] = flat
     lanes, width = aug.shape
 
-    # a lane's frame t is its utterance's frame t, or T - 1 - t reversed; the
-    # padding emits -inf, so it stays -inf, logaddexp's cheap case
-    t = np.arange(T.max())[:, None]
-    rows = start + np.minimum(t, T - 1)
-    if backward:
-        rows = np.concatenate([rows, start + np.maximum(T - 1 - t, 0)], axis=1)
+    # the padding emits -inf, so it stays -inf, logaddexp's cheap case
+    rows = lane_rows(T, backward)
+    t = np.arange(len(rows))[:, None]
     em = logy.take(rows[:, :, None] * logy.shape[1] + aug)
     lane_T, lane_S = (np.concatenate([T, T]), np.concatenate([S, S])) if backward else (T, S)
     np.copyto(em, -np.inf, where=(t >= lane_T)[:, :, None])
@@ -155,9 +166,8 @@ def ctc_label_counts(logy: np.ndarray, lengths, labels, backward: bool = True):
     # states added in order
     with np.errstate(invalid="ignore"):
         gamma = np.exp(la + lb - loglik[b])
-    counts = np.zeros(logy.shape)
-    np.add.at(counts.reshape(-1), (start[b] + t) * logy.shape[1] + aug[b, s], gamma)
-    return loglik, counts
+    counts = np.bincount((start[b] + t) * logy.shape[1] + aug[b, s], gamma, minlength=logy.size)
+    return loglik, counts.reshape(logy.shape)
 
 
 def greedy_decode(Z: np.ndarray) -> list[int]:

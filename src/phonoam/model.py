@@ -14,8 +14,8 @@ with `embeddings(model)` and passes that (E, head cache) pair to
 `batch_loss_and_grads` is the training step, one stacked pass per batch: one
 encoder forward over the batch's stacked frames (each utterance spliced
 within its own frames), one logits product, one `batch_loss` call (one
-`log_posteriors` and one call of the CTC lattice kernel; the CTC-CRF
-denominator still runs per utterance), one encoder backward and one head
+`log_posteriors` and one call of the CTC lattice kernel, plus one of the
+CTC-CRF denominator kernel under that loss), one encoder backward and one head
 backward, so the gradients are summed over the batch inside the matmuls.
 `model_loss_and_grads` is the batch of one.
 """

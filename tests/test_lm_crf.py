@@ -3,7 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from phonoam.crf import _logsumexp, build_denominator_graph, crf_loss, denominator_forward_backward
+from phonoam import crf
+from phonoam.crf import (
+    _logsumexp,
+    build_denominator_graph,
+    crf_batch_loss,
+    crf_loss,
+    denominator_forward_backward,
+)
 from phonoam.ctc import collapse, ctc_loss
 from phonoam.errors import EmptyCorpus
 from phonoam.heads import log_posteriors, posteriors
@@ -220,6 +227,39 @@ class TestDenominator:
                 assert np.array_equal(counts, ref_counts), (T, N, scale)
 
     @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("smoothing", [0.0, 1.0])
+    def test_batched_call_matches_per_utterance_calls(self, order, smoothing):
+        rng = np.random.default_rng(40 + order * 10 + int(smoothing))
+        N = 12
+        corpus = [[int(u) for u in rng.integers(1, N, size=rng.integers(1, 6))] for _ in range(10)]
+        graph = build_denominator_graph(N, train_phone_lm(corpus, order=order, smoothing=smoothing, vocab=range(1, N)))
+        for B in range(1, 9):
+            for scale in (0.5, 3.0, 30.0):
+                lengths = rng.integers(1, 30, size=B)
+                lengths[rng.integers(B)] = 1  # a lane that ends at its first frame
+                logy = log_posteriors(rng.normal(0.0, scale, size=(lengths.sum(), N)))
+                logden, counts = denominator_forward_backward(graph, logy, lengths)
+                assert logden.shape == (B,) and counts.shape == logy.shape
+                end = np.cumsum(lengths)
+                for b, (lo, hi) in enumerate(zip(end - lengths, end)):
+                    ref_logden, ref_counts = denominator_forward_backward(graph, logy[lo:hi])
+                    assert abs(logden[b] - ref_logden) <= 1e-12 * abs(ref_logden), (B, scale, b)
+                    assert np.max(np.abs(counts[lo:hi] - ref_counts)) <= 1e-12, (B, scale, b)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_forward_lanes_alone_give_the_same_log_denominators(self, order):
+        rng = np.random.default_rng(50 + order)
+        N = 9
+        corpus = [[int(u) for u in rng.integers(1, N, size=rng.integers(1, 6))] for _ in range(10)]
+        graph = build_denominator_graph(N, train_phone_lm(corpus, order=order, smoothing=0.5, vocab=range(1, N)))
+        for lengths in ([1], [17], [3, 1, 25, 8], [40, 40]):
+            logy = log_posteriors(rng.normal(0.0, 3.0, size=(sum(lengths), N)))
+            logden, _ = denominator_forward_backward(graph, logy, lengths)
+            alone, counts = denominator_forward_backward(graph, logy, lengths, backward=False)
+            assert counts is None
+            assert np.array_equal(alone, logden)
+
+    @pytest.mark.parametrize("order", [1, 2])
     def test_trans_equals_edge_lists(self, order):
         N = 6  # unit 5 is never seen
         lm = train_phone_lm([[1, 2, 3], [4, 1], [2]], order=order, smoothing=0.0, vocab=range(1, N))
@@ -272,6 +312,22 @@ class TestCrfLoss:
         lm = train_phone_lm([labels, [1]], order=2, smoothing=0.5, vocab=range(1, Z.shape[1]))
         fd = finite_difference(lambda z: crf_loss(z, labels, lm).nll, Z)
         assert max_rel_err(fd, crf_loss(Z, labels, lm).dZ, floor=1e-8) < 1e-4
+
+    @pytest.mark.parametrize("backward", [True, False])
+    def test_one_denominator_call_per_batch(self, monkeypatch, backward):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape)
+            return denominator_forward_backward(*args, **kwargs)
+
+        monkeypatch.setattr(crf, "denominator_forward_backward", counted)
+        N, lengths = 5, [4, 1, 7, 3, 6]
+        Z = RNG.normal(0.0, 2.0, size=(sum(lengths), N))
+        labels = [[1, 2], [3], [4, 4, 1], [2], [1, 3, 2]]
+        lm = train_phone_lm(labels, order=2, smoothing=1.0, vocab=range(1, N))
+        nll, _ = crf_batch_loss(Z, lengths, labels, lm, backward=backward)
+        assert calls == [Z.shape] and nll.shape == (len(lengths),)
 
     def test_no_lm_gradient_equals_ctc(self):
         Z, labels = _random_instance(RNG)
