@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time this checkout against a parent commit with the benchmark harness, in pairs.
 
-    python3 scripts/bench_pair.py --parent HEAD~1 --pairs ctc_pipeline=10 crf_bigram=3 long_eval=3
+    python3 scripts/bench_pair.py --parent HEAD~1 --pairs ctc_pipeline=10 crf_bigram=10 long_eval=10
 
 The parent's files are extracted with `git archive <parent> | tar -x` into a
 temporary directory, so nothing under `.git` changes.  For each workload and
@@ -11,7 +11,9 @@ then one `--trace 1` run of TRACE_SECONDS per side for the exact per-layer
 counts.  It writes BENCH_<commit>.json at the root of this checkout (commit =
 the short hash of its HEAD, `-dirty` when the tree has uncommitted changes):
 the machine record, every run's metrics, each end-to-end metric's median and
-interquartile range per side, and how many pairs each side won.
+interquartile range per side, and how many pairs each side won.  A workload
+with no pair of two complete runs gets a null summary; a workload that
+BENCHMARK.json does not name stops the script before any run, with exit 1.
 """
 
 from __future__ import annotations
@@ -106,6 +108,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in spec["workloads"]]
+    unknown = [name for name, _ in args.pairs if name not in known]
+    if unknown:
+        print(f"error: unknown workload {', '.join(unknown)}; BENCHMARK.json names {', '.join(known)}",
+              file=sys.stderr)
+        return 1
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     commit = _git("rev-parse", "--short", "HEAD") + ("-dirty" if _git("status", "--porcelain", "--untracked-files=no") else "")
@@ -135,14 +143,16 @@ def main(argv=None) -> int:
             traced = {side: run_side(roots[side], workload, args.seed, TRACE_SECONDS, 1)[1] for side in SIDES}
             doc["workloads"][workload] = {
                 "runs": runs,
-                "summary": summarize(pairs, better),
+                "summary": summarize(pairs, better) if pairs else None,
                 "failed": {side: sum(r.get("failed", 1) for r in runs if r["side"] == side) for side in SIDES},
                 "traced": traced,
             }
     out_path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out_path}")
     for workload, entry in doc["workloads"].items():
-        for metric, s in entry["summary"].items():
+        if entry["summary"] is None:
+            print(f"{workload:13s} no pair of two complete runs")
+        for metric, s in (entry["summary"] or {}).items():
             print(f"{workload:13s} {metric:12s} parent {s['parent']['median']:.4g} (IQR {s['parent']['iqr']:.3g})"
                   f"  change {s['change']['median']:.4g} (IQR {s['change']['iqr']:.3g})"
                   f"  won {s['change_won']}/{s['pairs']}")

@@ -7,7 +7,8 @@ tables of `encoder`, `heads` and `model`: loading checks the metadata, then
 checks every `enc__*`, `head__*` and `P` array against `model_shapes` of that
 metadata: each must be in both the file and the table, with the same shape,
 dtype float64, and finite.  One IoFailure names every array that fails.  The
-model is then assembled from the file's arrays; loading draws no weights.
+model then holds the file's arrays in `model_shapes` order, whatever order the
+file stores them in; loading draws no weights.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 from .encoder import EncoderConfig
 from .errors import IoFailure
 from .features import VECTOR_BITS
-from .heads import HEAD_KINDS, head_kind
-from .model import AcousticModel, assemble_model, model_params, model_shapes
+from .heads import HEAD_KINDS
+from .model import AcousticModel, model_shapes
 
 FORMAT_VERSION = 1
 
@@ -35,9 +36,7 @@ HEAD_ACTIVATIONS = (None, "sigmoid")
 
 def _file_arrays(model: AcousticModel) -> dict[str, np.ndarray]:
     """The model's arrays under the names a file stores them by."""
-    arrays = {k.replace(".", "__"): v for k, v in model_params(model).items()}
-    arrays["P"] = model.P
-    return arrays
+    return {k.replace(".", "__"): v for k, v in model.params.items()} | {"P": model.P}
 
 
 def save_checkpoint(model: AcousticModel, path, epoch: int = 0) -> None:
@@ -45,7 +44,7 @@ def save_checkpoint(model: AcousticModel, path, epoch: int = 0) -> None:
     meta = {
         "version": FORMAT_VERSION,
         "encoder_config": dataclasses.asdict(model.encoder_config),
-        "head_kind": head_kind(model.head),
+        "head_kind": model.head,
         "units": list(model.units),
         "epoch": epoch,
     }
@@ -131,9 +130,8 @@ def _build(meta: dict, arrays: dict[str, np.ndarray]) -> AcousticModel:
     # is then refused by the array check, as a head needs at least one hidden unit
     a1 = arrays.get("head__A1")
     hidden = max(len(a1), 1) if a1 is not None and a1.ndim else 1
-    expected = {k.replace(".", "__"): shape
-                for k, shape in model_shapes(len(units), encoder_config, kind, hidden).items()}
-    expected["P"] = (len(units), VECTOR_BITS)
+    shapes = model_shapes(len(units), encoder_config, kind, hidden)
+    expected = {k.replace(".", "__"): shape for k, shape in shapes.items()} | {"P": (len(units), VECTOR_BITS)}
     found = {k: v for k, v in arrays.items() if k == "P" or k.startswith(("enc__", "head__"))}
     bad = sorted(
         k for k in expected.keys() | found.keys()
@@ -146,5 +144,5 @@ def _build(meta: dict, arrays: dict[str, np.ndarray]) -> AcousticModel:
             f"checkpoint arrays {', '.join(bad)} do not match the model its metadata describes:"
             " each must be in both, with the same shape and dtype, and finite"
         )
-    P = found.pop("P")
-    return assemble_model(units, P, encoder_config, kind, {k.replace("__", ".", 1): v for k, v in found.items()})
+    params = {k: found[k.replace(".", "__")] for k in shapes}
+    return AcousticModel(encoder_config, kind, params, found["P"], tuple(units))

@@ -158,7 +158,7 @@ def cmd_extend(args) -> int:
     new_P = encode_inventory(table, list(new), specials=[])
     mode = args.mode
     if mode == "auto":
-        mode = "random" if meta["head_kind"] == "flat" else "phonology"
+        mode = "random" if model.head == "flat" else "phonology"
     extended = extend_model(model, new, new_P, mode=mode, seed=args.seed)
     save_checkpoint(extended, args.out, epoch=meta.get("epoch", 0))
     _write_manifest(args.out, "extend", args)
@@ -188,7 +188,7 @@ def cmd_eval(args) -> int:
 
 def cmd_export_embeddings(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
-    export_embeddings(model.head, model.P, model.units, args.out)
+    export_embeddings(model, args.out)
     _write_manifest(args.out, "export-embeddings", args)
     return 0
 

@@ -39,10 +39,10 @@ class EncoderConfig:
 
 
 def encoder_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
-    """Parameter name -> shape: each layer's weights W{i} (out x in), then its bias b{i}."""
+    """Parameter name -> shape: each layer's weights enc.W{i} (out x in), then its bias enc.b{i}."""
     shapes: dict[str, tuple[int, ...]] = {}
     for i, (rows, cols) in enumerate(config.layer_dims):
-        shapes.update({f"W{i}": (rows, cols), f"b{i}": (rows,)})
+        shapes.update({f"enc.W{i}": (rows, cols), f"enc.b{i}": (rows,)})
     return shapes
 
 
@@ -66,7 +66,8 @@ def _splice(x: np.ndarray, w: int, lengths) -> np.ndarray:
 def encoder_forward(config: EncoderConfig, params: dict[str, np.ndarray], x: np.ndarray, lengths=None):
     """Run the encoder over T x D frames; returns (H_seq, cache).
 
-    x stacks the frames of utterances of these lengths (default: one
+    params holds the arrays `encoder_shapes` names, and may hold others.  x
+    stacks the frames of utterances of these lengths (default: one
     utterance); each is spliced within its own frames.
     """
     if x.ndim != 2 or x.shape[1] != config.input_dim:
@@ -83,7 +84,7 @@ def encoder_forward(config: EncoderConfig, params: dict[str, np.ndarray], x: np.
     outputs = []
     for i in range(n_layers):
         inputs.append(a)
-        a = np.tanh(a @ params[f"W{i}"].T + params[f"b{i}"])
+        a = np.tanh(a @ params[f"enc.W{i}"].T + params[f"enc.b{i}"])
         outputs.append(a)
 
     cache = {"inputs": inputs, "outputs": outputs, "n_layers": n_layers}
@@ -96,7 +97,7 @@ def encoder_backward(
     cache: dict,
     dH: np.ndarray,
 ):
-    """Exact parameter gradients for the cached forward pass."""
+    """Exact gradients of the "enc." parameters for the cached forward pass."""
     if cache.get("n_layers") != len(config.hidden) + 1:
         raise StaleCache("cache does not match this encoder configuration")
     if dH.shape != cache["outputs"][-1].shape:
@@ -107,8 +108,8 @@ def encoder_backward(
     for i in reversed(range(cache["n_layers"])):
         out = cache["outputs"][i]
         d_pre = d_out * (1.0 - out * out)
-        grads[f"W{i}"] = d_pre.T @ cache["inputs"][i]
-        grads[f"b{i}"] = d_pre.sum(axis=0)
+        grads[f"enc.W{i}"] = d_pre.T @ cache["inputs"][i]
+        grads[f"enc.b{i}"] = d_pre.sum(axis=0)
         if i:
-            d_out = d_pre @ params[f"W{i}"]
+            d_out = d_pre @ params[f"enc.W{i}"]
     return grads

@@ -17,7 +17,6 @@ import numpy as np
 from .corpus import Utterance
 from .ctc import greedy_decode
 from .errors import InventoryMismatch, IoFailure
-from .heads import compute_embeddings
 from .model import AcousticModel, embeddings, model_forward
 
 
@@ -149,15 +148,15 @@ def evaluate(
     return result
 
 
-def export_embeddings(head, P: np.ndarray, units, path) -> None:
+def export_embeddings(model: AcousticModel, path) -> None:
     """Write one CSV row per unit: symbol followed by its embedding."""
-    E, _ = compute_embeddings(head, P)
-    if E.shape[0] != len(units):
-        raise InventoryMismatch(f"{E.shape[0]} embedding rows for {len(units)} units")
+    E, _ = embeddings(model)
+    if E.shape[0] != model.n_units:
+        raise InventoryMismatch(f"{E.shape[0]} embedding rows for {model.n_units} units")
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            for symbol, row in zip(units, E):
+            for symbol, row in zip(model.units, E):
                 writer.writerow([symbol, *(repr(float(v)) for v in row)])
     except OSError as exc:
         raise IoFailure(str(exc)) from exc

@@ -1,9 +1,11 @@
 """The full acoustic model: encoder -> embedding head -> logits -> loss.
 
-Parameters live in a flat name -> array dict with "enc." and "head."
-prefixes, which keeps the optimizer, checksumming and checkpoints generic.
-`model_shapes` lists their shapes: `build_model` draws from it and a
-checkpoint is checked against it.
+The model holds its parameters in one flat name -> array dict, `params`,
+with "enc." and "head." prefixes; the encoder, the heads, the optimizer, the
+checksum and checkpoints all read and write that dict by name.  Its head is
+one of the kind names of `HEAD_KINDS`.  `model_shapes` lists the parameters'
+names and shapes, in the dict's order: `build_model` draws from it and a
+checkpoint is checked against it and loaded in its order.
 
 The embeddings E, and the head's cache that its backward pass reads (the
 nonlinear head's hidden layer), depend only on the head's parameters.  So a
@@ -22,7 +24,6 @@ backward, so the gradients are summed over the batch inside the matmuls.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 from dataclasses import dataclass
 
@@ -35,26 +36,15 @@ from .ctc import check_labels
 from .encoder import EncoderConfig, encoder_backward, encoder_forward, encoder_shapes
 from .errors import DimensionMismatch, ModeHeadMismatch
 from .features import VECTOR_BITS
-from .heads import (
-    HEAD_KINDS,
-    HEAD_TYPES,
-    FlatHead,
-    Head,
-    compute_embeddings,
-    head_backward,
-    head_kind,
-    head_params,
-    head_shapes,
-    logits,
-)
+from .heads import HEAD_KINDS, compute_embeddings, head_backward, head_shapes, logits
 from .lm import PhoneLM
 
 
 @dataclass
 class AcousticModel:
     encoder_config: EncoderConfig
-    encoder_params: dict[str, np.ndarray]
-    head: Head
+    head: str  # one of HEAD_KINDS
+    params: dict[str, np.ndarray]  # in `model_shapes` order
     P: np.ndarray  # N x 51 phonological-vectors, row order = units
     units: tuple[str, ...]
 
@@ -68,9 +58,7 @@ class AcousticModel:
 
 def model_shapes(n_units: int, encoder_config: EncoderConfig, head: str, hidden: int) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter of the model so described, encoder first."""
-    shapes = {f"enc.{k}": s for k, s in encoder_shapes(encoder_config).items()}
-    head_table = head_shapes(head, n_units, encoder_config.output_dim, hidden)
-    return shapes | {f"head.{k}": s for k, s in head_table.items()}
+    return encoder_shapes(encoder_config) | head_shapes(head, n_units, encoder_config.output_dim, hidden)
 
 
 def glorot_params(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -80,14 +68,6 @@ def glorot_params(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator) 
         limit = np.sqrt(6.0 / sum(shape))
         params[name] = rng.uniform(-limit, limit, size=shape) if len(shape) == 2 else np.zeros(shape)
     return params
-
-
-def assemble_model(units: tuple[str, ...], P: np.ndarray, encoder_config: EncoderConfig, head: str,
-                   params: dict[str, np.ndarray]) -> AcousticModel:
-    """The model holding these parameters, named as `model_shapes` names them."""
-    enc = {k.removeprefix("enc."): v for k, v in params.items() if k.startswith("enc.")}
-    head_arrays = {k.removeprefix("head."): v for k, v in params.items() if k.startswith("head.")}
-    return AcousticModel(encoder_config, enc, HEAD_TYPES[head](**head_arrays), P, tuple(units))
 
 
 def build_model(
@@ -103,22 +83,21 @@ def build_model(
     if head not in HEAD_KINDS:
         raise ValueError(f"unknown head kind {head!r}")
     params = glorot_params(model_shapes(len(units), encoder_config, head, head_hidden), np.random.default_rng(seed))
-    return assemble_model(units, P, encoder_config, head, params)
+    return AcousticModel(encoder_config, head, params, P, tuple(units))
 
 
 def model_params(model: AcousticModel) -> dict[str, np.ndarray]:
-    out = {f"enc.{k}": v for k, v in model.encoder_params.items()}
-    out.update({f"head.{k}": v for k, v in head_params(model.head).items()})
-    return out
+    """A new dict holding the model's own arrays, so writes into an array
+    reach the model and a later `set_model_params` leaves this dict as it is."""
+    return dict(model.params)
 
 
 def set_model_params(model: AcousticModel, params: dict[str, np.ndarray]) -> None:
-    for name, value in params.items():
-        group, key = name.split(".", 1)
-        if group == "enc":
-            model.encoder_params[key] = value
-        else:
-            setattr(model.head, key, value)
+    """Replace the model's arrays of these names; KeyError for a name it lacks."""
+    unknown = params.keys() - model.params.keys()
+    if unknown:
+        raise KeyError(f"model has no parameter {', '.join(sorted(unknown))}")
+    model.params.update(params)
 
 
 def params_checksum(params: dict[str, np.ndarray]) -> str:
@@ -142,38 +121,33 @@ def extend_model(
 
     phonology    -- phonology-driven heads only: the new embeddings follow from
                     new_P through the unchanged head.
-    random       -- FlatHead only: seeded Gaussian rows (mean 0, std 0.01).
-    mean_of_seen -- FlatHead only: every new row is the mean of existing rows.
+    random       -- flat head only: seeded Gaussian rows (mean 0, std 0.01)
+                    appended to `head.E`.
+    mean_of_seen -- flat head only: every new row is the mean of existing rows.
 
     Flat rows then train as ordinary parameters during finetuning.
     """
     if new_P.ndim != 2 or new_P.shape[1] != VECTOR_BITS:
         raise DimensionMismatch(f"new_P must be M x {VECTOR_BITS}, got {new_P.shape}")
-    head = model.head
-    if isinstance(head, FlatHead) and mode in ("random", "mean_of_seen"):
-        m, width = new_P.shape[0], head.E.shape[1]
+    flat = model.head == "flat"
+    if mode not in (("random", "mean_of_seen") if flat else ("phonology",)):
+        raise ModeHeadMismatch(f"extension mode {mode!r} does not apply to a {model.head} head")
+    params = {k: v.copy() for k, v in model.params.items()}
+    if flat:
+        E = model.params["head.E"]
+        m = new_P.shape[0]
         if mode == "random":
-            rng = np.random.default_rng(seed)
-            rows = rng.normal(0.0, 0.01, size=(m, width))
+            rows = np.random.default_rng(seed).normal(0.0, 0.01, size=(m, E.shape[1]))
         else:
-            rows = np.tile(head.E.mean(axis=0), (m, 1))
-        head = FlatHead(E=np.concatenate([head.E, rows], axis=0))
-    elif not isinstance(head, FlatHead) and mode == "phonology":
-        head = copy.deepcopy(head)
-    else:
-        raise ModeHeadMismatch(f"extension mode {mode!r} does not apply to a {head_kind(head)} head")
-    return AcousticModel(
-        encoder_config=model.encoder_config,
-        encoder_params={k: v.copy() for k, v in model.encoder_params.items()},
-        head=head,
-        P=np.concatenate([model.P, new_P], axis=0),
-        units=model.units + tuple(new_units),
-    )
+            rows = np.tile(E.mean(axis=0), (m, 1))
+        params["head.E"] = np.concatenate([E, rows], axis=0)
+    P = np.concatenate([model.P, new_P], axis=0)
+    return AcousticModel(model.encoder_config, model.head, params, P, model.units + tuple(new_units))
 
 
 def embeddings(model: AcousticModel) -> tuple[np.ndarray, np.ndarray | None]:
     """(E, head cache) of the model's current parameters; E is N x H."""
-    return compute_embeddings(model.head, model.P)
+    return compute_embeddings(model.head, model.params, model.P)
 
 
 def model_forward(
@@ -188,7 +162,7 @@ def model_forward(
     utterance), and Z stacks their logits the same way.  emb, if given, must
     be `embeddings(model)` of the current parameters.
     """
-    H_seq, enc_cache = encoder_forward(model.encoder_config, model.encoder_params, frames, lengths)
+    H_seq, enc_cache = encoder_forward(model.encoder_config, model.params, frames, lengths)
     E, head_cache = embeddings(model) if emb is None else emb
     Z = logits(E, H_seq)
     return Z, {"enc": enc_cache, "H_seq": H_seq, "E": E, "head": head_cache}
@@ -223,12 +197,10 @@ def batch_loss_and_grads(
     lengths = [len(x) for x in frames]
     Z, cache = model_forward(model, np.concatenate(frames), lengths=lengths)
     nll, dZ = batch_loss(Z, lengths, labels, loss, lm, graph)
-    enc_grads = encoder_backward(model.encoder_config, model.encoder_params, cache["enc"], dZ @ cache["E"])
-    head_grads = head_backward(model.head, model.P, cache["head"], dZ.T @ cache["H_seq"])
-    # in `model_params` order, the order the global gradient norm sums in
-    grads = {f"enc.{k}": enc_grads[k] for k in model.encoder_params}
-    grads.update({f"head.{k}": g for k, g in head_grads.items()})
-    return nll, grads
+    grads = (encoder_backward(model.encoder_config, model.params, cache["enc"], dZ @ cache["E"])
+             | head_backward(model.head, model.params, model.P, cache["head"], dZ.T @ cache["H_seq"]))
+    # in the model's order, the order the global gradient norm sums in
+    return nll, {k: grads[k] for k in model.params}
 
 
 def model_loss_and_grads(

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -43,3 +44,36 @@ def test_pairs_argument(bench_pair):
     assert bench_pair._pairs_arg("ctc_pipeline=10") == ("ctc_pipeline", 10)
     with pytest.raises(Exception):
         bench_pair._pairs_arg("ctc_pipeline=0")
+
+
+def test_unknown_workload_refused_before_any_run(bench_pair, monkeypatch, capsys):
+    def no_subprocess(*args, **kwargs):
+        raise AssertionError("nothing may run for an unknown workload")
+
+    monkeypatch.setattr(bench_pair.subprocess, "run", no_subprocess)
+    monkeypatch.setattr(bench_pair.subprocess, "Popen", no_subprocess)
+    assert bench_pair.main(["--parent", "HEAD", "--pairs", "ctc_pipeline=1", "ctc_pipelin=10"]) == 1
+    err = capsys.readouterr().err
+    assert "ctc_pipelin" in err and all(name in err for name in ("ctc_pipeline", "crf_bigram", "long_eval"))
+
+
+def test_workload_without_a_complete_pair_keeps_the_others(bench_pair, monkeypatch, tmp_path):
+    spec = json.loads((bench_pair.ROOT / "BENCHMARK.json").read_text())
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(bench_pair, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pair, "_git", lambda *args: "abc1234" if args[0] == "rev-parse" else "")
+    monkeypatch.setattr(bench_pair, "extract", lambda rev, into: None)
+    metrics = {m["name"]: 1.0 for m in spec["end_to_end"]}
+
+    def run_side(root, workload, seed, seconds, trace):
+        if workload == "long_eval" and root != tmp_path:  # every parent run of long_eval fails
+            return None, {"returncode": 2, "stderr": "boom"}
+        return {"cpu": "x"}, {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pair, "run_side", run_side)
+    assert bench_pair.main(["--parent", "HEAD", "--pairs", "ctc_pipeline=2", "long_eval=2"]) == 0
+    doc = json.loads((tmp_path / "BENCH_abc1234.json").read_text())
+    assert doc["workloads"]["ctc_pipeline"]["summary"]["wall_s"]["pairs"] == 2
+    long_eval = doc["workloads"]["long_eval"]
+    assert long_eval["summary"] is None
+    assert len(long_eval["runs"]) == 4 and long_eval["failed"] == {"parent": 2, "change": 0}

@@ -9,7 +9,7 @@ from phonoam.encoder import EncoderConfig
 from phonoam.errors import IoFailure
 from phonoam.features import SpecialToken, builtin_table, encode_inventory
 from phonoam.inventory import LanguageInventory, merge_inventories
-from phonoam.model import build_model, model_forward, model_params, params_checksum
+from phonoam.model import build_model, model_forward, model_params, model_shapes, params_checksum
 
 TABLE = builtin_table()
 PHONES = tuple(TABLE.phones())
@@ -53,6 +53,20 @@ def test_loading_draws_no_weights(head, tmp_path, monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", no_rng)
     loaded, _ = load_checkpoint(path)
+    assert params_checksum(model_params(loaded)) == params_checksum(model_params(model))
+
+
+@pytest.mark.parametrize("head", ["flat", "linear", "nonlinear"])
+def test_parameters_load_in_model_shapes_order(head, tmp_path):
+    # the order the global gradient norm sums in does not follow the file's
+    model = tiny_model(head)
+    path, reversed_path = tmp_path / "model.npz", tmp_path / "reversed.npz"
+    save_checkpoint(model, path)
+    with np.load(path) as data:
+        np.savez_compressed(reversed_path, **{k: data[k] for k in reversed(data.files)})
+    loaded, _ = load_checkpoint(reversed_path)
+    expected = list(model_shapes(model.n_units, model.encoder_config, head, 3))
+    assert list(model_params(loaded)) == expected == list(model_params(model))
     assert params_checksum(model_params(loaded)) == params_checksum(model_params(model))
 
 

@@ -28,7 +28,7 @@ def test_zero_params_zero_output():
 
 def test_identity_single_layer_is_pointwise_activation():
     cfg = EncoderConfig(input_dim=3, context=0, hidden=(), output_dim=3)
-    params = {"W0": np.eye(3), "b0": np.zeros(3)}
+    params = {"enc.W0": np.eye(3), "enc.b0": np.zeros(3)}
     x = RNG.normal(size=(4, 3))
     H, _ = encoder_forward(cfg, params, x)
     assert np.allclose(H, np.tanh(x))

@@ -9,8 +9,7 @@ from phonoam.encoder import EncoderConfig
 from phonoam.errors import InventoryMismatch, IoFailure
 from phonoam.evaluate import EvalResult, align, evaluate, export_embeddings
 from phonoam.features import SPECIAL_SYMBOLS, SpecialToken, VECTOR_BITS
-from phonoam.heads import FlatHead, LinearHead, compute_embeddings
-from phonoam.model import AcousticModel, model_forward
+from phonoam.model import AcousticModel, build_model, embeddings, model_forward
 
 RNG = np.random.default_rng(41)
 
@@ -151,12 +150,12 @@ def _manual_model(phones, emit):
     units = tuple(SPECIAL_SYMBOLS[t] for t in SpecialToken) + tuple(phones)
     n = len(units)
     cfg = EncoderConfig(input_dim=n, context=0, hidden=(), output_dim=n)
-    params = {"W0": 10.0 * np.eye(n), "b0": np.zeros(n)}
-    head = FlatHead(E=np.eye(n)) if emit else FlatHead(E=np.zeros((n, n)))
+    E = np.eye(n) if emit else np.zeros((n, n))
+    params = {"enc.W0": 10.0 * np.eye(n), "enc.b0": np.zeros(n), "head.E": E}
     return AcousticModel(
         encoder_config=cfg,
-        encoder_params=params,
-        head=head,
+        head="flat",
+        params=params,
         P=np.zeros((n, VECTOR_BITS)),
         units=units,
     )
@@ -327,26 +326,32 @@ class TestChargingMatchesReference:
             assert evaluate(model, utts, unseen) == reference_evaluate(model, utts, unseen)
 
 
+def flat_model(rows, units):
+    """A flat-head model of zero embeddings with this many rows and these units."""
+    cfg = EncoderConfig(input_dim=2, context=0, hidden=(), output_dim=3)
+    params = {"enc.W0": np.zeros((3, 2)), "enc.b0": np.zeros(3), "head.E": np.zeros((rows, 3))}
+    return AcousticModel(cfg, "flat", params, np.zeros((rows, VECTOR_BITS)), units)
+
+
 class TestExport:
     def test_roundtrip_values(self, tmp_path):
-        head = LinearHead(A=RNG.normal(size=(3, VECTOR_BITS)))
         P = RNG.integers(0, 2, size=(4, VECTOR_BITS)).astype(float)
-        units = ["u0", "u1", "u2", "u3"]
+        units = ("u0", "u1", "u2", "u3")
+        model = build_model(units, P, EncoderConfig(input_dim=2, output_dim=3), head="linear", seed=1)
         path = tmp_path / "emb.csv"
-        export_embeddings(head, P, units, path)
-        E, _ = compute_embeddings(head, P)
+        export_embeddings(model, path)
+        E, _ = embeddings(model)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert [r[0] for r in rows] == units
+        assert tuple(r[0] for r in rows) == units
         got = np.array([[float(v) for v in r[1:]] for r in rows])
         assert np.array_equal(got, E)  # repr() round-trips exactly
 
     def test_row_count_checked(self, tmp_path):
-        head = FlatHead(E=np.zeros((2, 3)))
+        model = flat_model(2, ("a",))
         with pytest.raises(InventoryMismatch):
-            export_embeddings(head, None, ["a"], tmp_path / "x.csv")
+            export_embeddings(model, tmp_path / "x.csv")
 
     def test_io_failure(self, tmp_path):
-        head = FlatHead(E=np.zeros((1, 3)))
         with pytest.raises(IoFailure):
-            export_embeddings(head, None, ["a"], tmp_path / "nodir" / "x.csv")
+            export_embeddings(flat_model(1, ("a",)), tmp_path / "nodir" / "x.csv")

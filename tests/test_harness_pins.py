@@ -2,9 +2,10 @@
 
 `perfbench/layers.py` wraps functions at the module attributes listed in
 `TARGETS`, and `perfbench/workloads.py` checks `model_loss_and_grads`
-gradients and the CTC-CRF denominator by name.  A change to the program
-that drops one of these breaks the benchmark, not the program's own tests,
-so these guards catch it here.
+gradients and the CTC-CRF denominator by name, perturbing one parameter at a
+time with `set_model_params` and restoring it from an earlier
+`model_params`.  A change to the program that drops one of these breaks the
+benchmark, not the program's own tests, so these guards catch it here.
 """
 
 import importlib
@@ -19,7 +20,7 @@ from phonoam.encoder import EncoderConfig
 from phonoam.features import VECTOR_BITS
 from phonoam.heads import log_posteriors
 from phonoam.lm import train_phone_lm
-from phonoam.model import build_model, model_loss_and_grads
+from phonoam.model import build_model, model_loss_and_grads, model_params, set_model_params
 
 REPO_DIR = Path(__file__).resolve().parent.parent
 
@@ -45,18 +46,39 @@ def test_head_kinds_where_the_harness_reads_them():
     assert importlib.import_module("phonoam.benchmark").HEAD_KINDS == ("flat", "linear", "nonlinear")
 
 
-def test_crf_gradients_by_the_names_the_harness_reads():
-    rng = np.random.default_rng(3)
+def tiny_nonlinear_model(rng):
     units = ("<blk>", "a", "b", "c")
     P = rng.integers(0, 2, size=(len(units), VECTOR_BITS)).astype(float)
     enc = EncoderConfig(input_dim=3, context=1, hidden=(4,), output_dim=4)
-    model = build_model(units, P, enc, head="nonlinear", seed=5, head_hidden=5)
+    return build_model(units, P, enc, head="nonlinear", seed=5, head_hidden=5)
+
+
+def test_crf_gradients_by_the_names_the_harness_reads():
+    rng = np.random.default_rng(3)
+    model = tiny_nonlinear_model(rng)
+    units = model.units
     lm = train_phone_lm([[1, 2], [2, 3, 1], [3]], order=2, vocab=range(1, len(units)))
     graph = build_denominator_graph(len(units), lm)
     nll, grads = model_loss_and_grads(model, rng.normal(size=(5, 3)), [1, 2, 3], "ctc_crf", lm, graph)
     assert np.isfinite(nll)
     for name, shape in (("enc.W0", (4, 9)), ("head.A1", (5, VECTOR_BITS)), ("head.A2", (4, 5))):
         assert grads[name].shape == shape
+
+
+def test_params_restore_as_the_harness_restores_them():
+    model = tiny_nonlinear_model(np.random.default_rng(3))
+    first, second = model_params(model), model_params(model)
+    # each call is a new dict holding the model's own arrays
+    assert first is not second and first is not model.params
+    assert first.keys() == second.keys() >= {"enc.W0", "head.A1", "head.A2"}
+    assert all(first[k] is model.params[k] and second[k] is model.params[k] for k in first)
+    # perturbing one parameter leaves the earlier result to restore it from
+    for name in ("enc.W0", "head.A1", "head.A2"):
+        original = first[name]
+        set_model_params(model, {name: original + 1.0})
+        assert first[name] is original and model.params[name] is not original
+        set_model_params(model, {name: first[name]})
+        assert model.params[name] is original
 
 
 def test_crf_denominator_as_the_harness_calls_it(layers):

@@ -4,9 +4,6 @@ import pytest
 from phonoam.errors import DimensionMismatch, StaleCache
 from phonoam.features import VECTOR_BITS
 from phonoam.heads import (
-    HEAD_TYPES,
-    LinearHead,
-    NonlinearHead,
     compute_embeddings,
     head_backward,
     head_shapes,
@@ -20,8 +17,8 @@ RNG = np.random.default_rng(7)
 
 
 def make_head(kind, width, n_units=0, hidden=0):
-    """A head of this kind with Glorot-drawn matrices, as `build_model` draws them."""
-    return HEAD_TYPES[kind](**glorot_params(head_shapes(kind, n_units, width, hidden), RNG))
+    """The parameters of a head of this kind, Glorot-drawn as `build_model` draws them."""
+    return glorot_params(head_shapes(kind, n_units, width, hidden), RNG)
 
 
 def random_P(n):
@@ -30,8 +27,7 @@ def random_P(n):
 
 class TestComputeEmbeddings:
     def test_linear_zero_matrix_gives_zero_embeddings(self):
-        head = LinearHead(A=np.zeros((4, VECTOR_BITS)))
-        E, cache = compute_embeddings(head, random_P(5))
+        E, cache = compute_embeddings("linear", {"head.A": np.zeros((4, VECTOR_BITS))}, random_P(5))
         assert np.all(E == 0) and cache is None
         # all-zero embeddings give uniform posteriors downstream
         Z = logits(E, RNG.normal(size=(3, 4)))
@@ -43,33 +39,32 @@ class TestComputeEmbeddings:
         A = np.zeros((2, VECTOR_BITS))
         A[0, :3] = [1, 2, 3]
         A[1, :3] = [0, 1, 0]
-        E, _ = compute_embeddings(LinearHead(A=A), p[None, :])
+        E, _ = compute_embeddings("linear", {"head.A": A}, p[None, :])
         assert np.allclose(E, [[4.0, 0.0]])
 
     def test_nonlinear_sigmoid_at_zero(self):
         dh = 3
-        head = NonlinearHead(A1=np.zeros((dh, VECTOR_BITS)), A2=2.0 * np.eye(dh))
-        E, hidden = compute_embeddings(head, random_P(2))
+        head = {"head.A1": np.zeros((dh, VECTOR_BITS)), "head.A2": 2.0 * np.eye(dh)}
+        E, hidden = compute_embeddings("nonlinear", head, random_P(2))
         assert np.allclose(E, 1.0)  # sigmoid(0) = 0.5, doubled
         assert np.array_equal(hidden, np.full((2, dh), 0.5))
 
     def test_flat_ignores_P(self):
         head = make_head("flat", 8, n_units=4)
-        E, cache = compute_embeddings(head, random_P(4))
-        assert E is head.E and cache is None
-        assert compute_embeddings(head, None)[0] is head.E
+        E, cache = compute_embeddings("flat", head, random_P(4))
+        assert E is head["head.E"] and cache is None
 
     def test_flat_row_count_checked(self):
         head = make_head("flat", 8, n_units=4)
         with pytest.raises(DimensionMismatch):
-            compute_embeddings(head, random_P(5))
+            compute_embeddings("flat", head, random_P(5))
 
     def test_permutation_equivariance(self):
         head = make_head("nonlinear", 6, hidden=5)
         P = random_P(7)
         perm = RNG.permutation(7)
-        E, hidden = compute_embeddings(head, P)
-        E_perm, hidden_perm = compute_embeddings(head, P[perm])
+        E, hidden = compute_embeddings("nonlinear", head, P)
+        E_perm, hidden_perm = compute_embeddings("nonlinear", head, P[perm])
         assert np.allclose(E_perm, E[perm])
         assert np.allclose(hidden_perm, hidden[perm])
 
@@ -150,30 +145,30 @@ class TestBackward:
         head = make_head("linear", 5)
         P = random_P(6)
         dE = RNG.normal(size=(6, 5))
-        grads = head_backward(head, P, None, dE)
-        assert np.allclose(grads["A"], dE.T @ P)
+        grads = head_backward("linear", head, P, None, dE)
+        assert np.allclose(grads["head.A"], dE.T @ P)
 
     def test_flat_passthrough(self):
         head = make_head("flat", 5, n_units=6)
         dE = RNG.normal(size=(6, 5))
-        assert head_backward(head, None, None, dE)["E"] is dE
+        assert head_backward("flat", head, None, None, dE)["head.E"] is dE
 
     def test_nonlinear_finite_differences(self):
         head = make_head("nonlinear", 4, hidden=3)
         P = random_P(5)
         dE = RNG.normal(size=(5, 4))
-        _, hidden = compute_embeddings(head, P)
-        grads = head_backward(head, P, hidden, dE)
-        assert set(grads) == {"A1", "A2"}
+        _, hidden = compute_embeddings("nonlinear", head, P)
+        grads = head_backward("nonlinear", head, P, hidden, dE)
+        assert set(grads) == {"head.A1", "head.A2"}
         eps = 1e-6
-        for name in ("A1", "A2"):
-            param = getattr(head, name)
+        for name in ("head.A1", "head.A2"):
+            param = head[name]
             for idx in np.ndindex(*param.shape):
                 orig = param[idx]
                 param[idx] = orig + eps
-                up = float((compute_embeddings(head, P)[0] * dE).sum())
+                up = float((compute_embeddings("nonlinear", head, P)[0] * dE).sum())
                 param[idx] = orig - eps
-                down = float((compute_embeddings(head, P)[0] * dE).sum())
+                down = float((compute_embeddings("nonlinear", head, P)[0] * dE).sum())
                 param[idx] = orig
                 fd = (up - down) / (2 * eps)
                 rel = abs(fd - grads[name][idx]) / max(abs(fd), abs(grads[name][idx]), 1e-8)
@@ -183,7 +178,7 @@ class TestBackward:
         head = make_head("nonlinear", 4, hidden=3)
         P = random_P(5)
         dE = RNG.normal(size=(5, 4))
-        _, fewer_rows = compute_embeddings(head, P[:4])
+        _, fewer_rows = compute_embeddings("nonlinear", head, P[:4])
         for cache in (None, fewer_rows):
             with pytest.raises(StaleCache):
-                head_backward(head, P, cache, dE)
+                head_backward("nonlinear", head, P, cache, dE)

@@ -5,7 +5,7 @@ from phonoam.corpus import make_emission_map, generate_language, SynthLanguageSp
 from phonoam.encoder import EncoderConfig
 from phonoam.errors import DimensionMismatch, ModeHeadMismatch
 from phonoam.features import SpecialToken, builtin_table, encode_inventory
-from phonoam.heads import FlatHead, compute_embeddings
+from phonoam.heads import compute_embeddings
 from phonoam.inventory import LanguageInventory, merge_inventories
 from phonoam.lm import train_phone_lm
 from phonoam.model import (
@@ -48,6 +48,17 @@ def test_param_roundtrip_and_checksum():
     before = params_checksum(params)
     set_model_params(model, {k: v.copy() for k, v in params.items()})
     assert params_checksum(model_params(model)) == before
+
+
+def test_set_model_params_refuses_unknown_names():
+    model, _ = tiny_model("nonlinear")
+    before = model_params(model)
+    for stray in ("head.E", "enc.W9", "A1"):
+        with pytest.raises(KeyError, match=stray):
+            set_model_params(model, {"head.A1": np.zeros_like(before["head.A1"]), stray: np.zeros(3)})
+        # nothing is replaced when any name is unknown, and no name is added
+        assert list(model.params) == list(before)
+        assert all(model.params[k] is v for k, v in before.items())
 
 
 @pytest.mark.parametrize("head", ["flat", "linear", "nonlinear"])
@@ -116,7 +127,7 @@ class TestExtend:
         before = params_checksum(model_params(model))
         newP = encode_inventory(TABLE, [PHONES[5]], specials=[])
         ext = extend_model(model, (PHONES[5],), newP, mode="phonology")
-        ext.head.A1 += 1.0  # simulate finetuning on the extension
+        ext.params["head.A1"] += 1.0  # simulate finetuning on the extension
         assert params_checksum(model_params(model)) == before
 
     @pytest.mark.parametrize("head, mode", [
@@ -140,11 +151,12 @@ class TestExtend:
 
     def test_flat_extension_appends_rows(self):
         model, _ = tiny_model("flat")
-        n = model.head.E.shape[0]
+        n = model.params["head.E"].shape[0]
         newP = encode_inventory(TABLE, [PHONES[5], PHONES[6]], specials=[])
         ext = extend_model(model, (PHONES[5], PHONES[6]), newP, mode="random", seed=1)
-        assert ext.head.E.shape[0] == n + 2
-        assert np.array_equal(ext.head.E[:n], model.head.E)
+        assert ext.params["head.E"].shape[0] == n + 2
+        assert np.array_equal(ext.params["head.E"][:n], model.params["head.E"])
+        assert list(ext.params) == list(model.params)
 
     def test_non_phonology_modes_rejected_for_phonology_heads(self):
         model, _ = tiny_model("linear")
@@ -155,7 +167,7 @@ class TestExtend:
     def test_phonology_matches_seen_duplicate(self):
         model, _ = tiny_model("linear")
         ext = extend_model(model, ("dup",), model.P[4:5], mode="phonology")
-        E, _ = compute_embeddings(ext.head, ext.P)
+        E, _ = embeddings(ext)
         assert np.allclose(E[-1], E[4])
 
     def test_phonology_never_mutates_parameters(self):
@@ -165,25 +177,26 @@ class TestExtend:
         ext = extend_model(model, tuple(PHONES[5:7]), newP, mode="phonology")
         assert params_checksum(model_params(model)) == before
         # the new rows are exactly what the unchanged head maps new_P to
-        assert np.allclose(compute_embeddings(ext.head, ext.P)[0][-2:], compute_embeddings(model.head, newP)[0])
+        assert np.allclose(embeddings(ext)[0][-2:], compute_embeddings(model.head, model.params, newP)[0])
 
     def test_random_is_seeded(self):
         model, _ = tiny_model("flat")
         newP = encode_inventory(TABLE, [PHONES[5], PHONES[6]], specials=[])
         a = extend_model(model, (PHONES[5], PHONES[6]), newP, mode="random", seed=3)
         b = extend_model(model, (PHONES[5], PHONES[6]), newP, mode="random", seed=3)
-        assert np.array_equal(a.head.E, b.head.E)
-        assert a.head.E.shape == (model.n_units + 2, model.head.E.shape[1])
-        rows = np.random.default_rng(3).normal(0.0, 0.01, size=(2, model.head.E.shape[1]))
-        assert np.array_equal(a.head.E[-2:], rows)
+        assert np.array_equal(a.params["head.E"], b.params["head.E"])
+        width = model.params["head.E"].shape[1]
+        assert a.params["head.E"].shape == (model.n_units + 2, width)
+        rows = np.random.default_rng(3).normal(0.0, 0.01, size=(2, width))
+        assert np.array_equal(a.params["head.E"][-2:], rows)
 
     def test_mean_of_seen(self):
         model, _ = tiny_model("flat")
         assert model.n_units == 7
-        model.head = FlatHead(E=np.repeat(np.arange(7.0)[:, None], 4, axis=1))  # row i is all i
+        set_model_params(model, {"head.E": np.repeat(np.arange(7.0)[:, None], 4, axis=1)})  # row i is all i
         newP = encode_inventory(TABLE, [PHONES[5]], specials=[])
         ext = extend_model(model, (PHONES[5],), newP, mode="mean_of_seen")
-        assert np.allclose(ext.head.E[-1], [3.0, 3.0, 3.0, 3.0])
+        assert np.allclose(ext.params["head.E"][-1], [3.0, 3.0, 3.0, 3.0])
 
     def test_mode_head_mismatch(self):
         newP = encode_inventory(TABLE, [PHONES[5]], specials=[])

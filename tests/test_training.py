@@ -289,12 +289,10 @@ def test_batch_step_matches_the_per_utterance_gradients(head, loss):
         Z, cache = model_mod.model_forward(model, frames)
         result = ctc_loss(Z, labels) if loss == "ctc" else crf_loss(Z, labels, lm, graph=graph)
         assert abs(nll[b] - result.nll) <= 1e-12 * abs(result.nll)
-        enc = encoder_backward(model.encoder_config, model.encoder_params, cache["enc"], result.dZ @ cache["E"])
-        head = heads_mod.head_backward(model.head, model.P, cache["head"], result.dZ.T @ cache["H_seq"])
-        for k, g in enc.items():
-            acc[f"enc.{k}"] += g
-        for k, g in head.items():
-            acc[f"head.{k}"] += g
+        enc = encoder_backward(model.encoder_config, model.params, cache["enc"], result.dZ @ cache["E"])
+        head = heads_mod.head_backward(model.head, model.params, model.P, cache["head"], result.dZ.T @ cache["H_seq"])
+        for k, g in (enc | head).items():
+            acc[k] += g
     # the stacked pass sums in the matmuls, in another order than the loop
     assert list(grads) == list(acc)
     for k, g in acc.items():
@@ -345,10 +343,10 @@ class TestMultilingualAndFinetune:
         model, utts = make_setup()
         new_P = encode_inventory(TABLE, [PHONES[4]], specials=[])
         extended = extend_model(model, (PHONES[4],), new_P)
-        before = {k: v.copy() for k, v in model.encoder_params.items()}
+        before = {k: v.copy() for k, v in model.params.items() if k.startswith("enc.")}
         finetune(extended, utts[:4], TrainConfig(max_epochs=2))
-        assert all(np.array_equal(model.encoder_params[k], v) for k, v in before.items())
-        assert not np.array_equal(extended.encoder_params["W0"], before["W0"])
+        assert all(np.array_equal(model.params[k], v) for k, v in before.items())
+        assert not np.array_equal(extended.params["enc.W0"], before["enc.W0"])
 
     def test_finetune_moves_parameters(self):
         model, utts = make_setup()
