@@ -21,7 +21,7 @@ import numpy as np
 
 from .corpus import SynthLanguageSpec, Utterance, generate_language, make_emission_map
 from .encoder import EncoderConfig
-from .errors import IoFailure
+from .errors import io_failure
 from .features import CANONICAL_FEATURES, FeatureTable, SpecialToken, encode_inventory
 from .heads import HEAD_KINDS
 from .inventory import LanguageInventory, merge_inventories, unseen_phones
@@ -228,12 +228,9 @@ def run_seeds(config: BenchmarkConfig, seeds, heads=HEAD_KINDS, conditions=("zer
 
 def write_report(records: list[dict], path) -> None:
     """One JSON record per line, keys sorted: byte-stable for a given input."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    with io_failure(), open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def median_per(records: list[dict], head: str, condition: str, key: str = "per") -> float:

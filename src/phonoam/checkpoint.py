@@ -21,7 +21,7 @@ import zlib
 import numpy as np
 
 from .encoder import EncoderConfig
-from .errors import IoFailure
+from .errors import IoFailure, io_failure
 from .features import VECTOR_BITS
 from .heads import HEAD_KINDS
 from .model import AcousticModel, model_shapes
@@ -34,13 +34,8 @@ FIXED_ENCODER_OPTIONS = {"activation": "tanh", "recurrent": False}
 HEAD_ACTIVATIONS = (None, "sigmoid")
 
 
-def _file_arrays(model: AcousticModel) -> dict[str, np.ndarray]:
-    """The model's arrays under the names a file stores them by."""
-    return {k.replace(".", "__"): v for k, v in model.params.items()} | {"P": model.P}
-
-
 def save_checkpoint(model: AcousticModel, path, epoch: int = 0) -> None:
-    """Write the model's parameters; the optimizer state is not kept."""
+    """Write the model's parameters to exactly `path`; the optimizer state is not kept."""
     meta = {
         "version": FORMAT_VERSION,
         "encoder_config": dataclasses.asdict(model.encoder_config),
@@ -48,11 +43,9 @@ def save_checkpoint(model: AcousticModel, path, epoch: int = 0) -> None:
         "units": list(model.units),
         "epoch": epoch,
     }
-    try:
-        np.savez_compressed(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-                            **_file_arrays(model))
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    with io_failure(), open(path, "wb") as fh:  # numpy appends ".npz" to a path, not to a handle
+        np.savez_compressed(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                            **{k.replace(".", "__"): v for k, v in model.params.items()}, P=model.P)
 
 
 def _read(path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -19,7 +19,7 @@ from .benchmark import BenchmarkConfig, HEAD_KINDS, median_per, run_seeds, write
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import SynthLanguageSpec, generate_language, load_corpus, make_emission_map, save_corpus
 from .encoder import EncoderConfig
-from .errors import IoFailure, PhonoamError
+from .errors import IoFailure, PhonoamError, io_failure
 from .evaluate import evaluate, export_embeddings
 from .features import SpecialToken, encode_inventory, encode_phone, load_feature_table
 from .inventory import language_degree, load_inventory, merge_inventories, unseen_phones
@@ -51,11 +51,8 @@ def _check_out(path) -> None:
 
 
 def _write_json(path, doc, **options) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2, **options)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    with io_failure(), open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2, **options)
 
 
 def cmd_encode(args) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSynthSpec, IoFailure, UnknownPhone
+from .errors import InvalidSynthSpec, IoFailure, UnknownPhone, io_failure
 from .features import VECTOR_BITS, FeatureTable, encode_phone
 
 
@@ -101,18 +101,15 @@ def save_corpus(utterances: list[Utterance], path) -> None:
     per utterance with label indices and row-major float64 frames."""
     symbols = sorted({p for u in utterances for p in u.phones})
     index = {p: i for i, p in enumerate(symbols)}
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"symbols": symbols}, ensure_ascii=False) + "\n")
-            for u in utterances:
-                rec = {
-                    "language": u.language_id,
-                    "labels": [index[p] for p in u.phones],
-                    "frames": u.frames.tolist(),
-                }
-                fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    with io_failure(), open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"symbols": symbols}, ensure_ascii=False) + "\n")
+        for u in utterances:
+            rec = {
+                "language": u.language_id,
+                "labels": [index[p] for p in u.phones],
+                "frames": u.frames.tolist(),
+            }
+            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
 def _json_object(line: str, where: str) -> dict:
@@ -143,21 +140,18 @@ def _utterance(rec: dict, symbols: list[str], where: str) -> Utterance:
 
 def load_corpus(path) -> list[Utterance]:
     """Read a file written by save_corpus; IoFailure names the first bad line."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            symbols = _json_object(fh.readline(), f"{path} line 1").get("symbols")
-            if not (isinstance(symbols, list) and all(isinstance(s, str) for s in symbols)):
-                raise IoFailure(f"{path} line 1: header needs 'symbols', a list of strings")
-            utterances, dim = [], None
-            for lineno, line in enumerate(fh, start=2):
-                where = f"{path} line {lineno}"
-                utt = _utterance(_json_object(line, where), symbols, where)
-                dim = dim or utt.frames.shape[1]
-                if utt.frames.shape[1] != dim:
-                    raise IoFailure(f"{where}: frames have {utt.frames.shape[1]} columns, line 2 has {dim}")
-                utterances.append(utt)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoFailure(str(exc)) from exc
+    with io_failure(), open(path, encoding="utf-8") as fh:
+        symbols = _json_object(fh.readline(), f"{path} line 1").get("symbols")
+        if not (isinstance(symbols, list) and all(isinstance(s, str) for s in symbols)):
+            raise IoFailure(f"{path} line 1: header needs 'symbols', a list of strings")
+        utterances, dim = [], None
+        for lineno, line in enumerate(fh, start=2):
+            where = f"{path} line {lineno}"
+            utt = _utterance(_json_object(line, where), symbols, where)
+            dim = dim or utt.frames.shape[1]
+            if utt.frames.shape[1] != dim:
+                raise IoFailure(f"{where}: frames have {utt.frames.shape[1]} columns, line 2 has {dim}")
+            utterances.append(utt)
     if not utterances:
         raise IoFailure(f"{path} line 2: no utterance after the header")
     return utterances

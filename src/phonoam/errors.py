@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one rule for file failures: an
+OSError or UnicodeError raised reading or writing a file becomes an IoFailure (`io_failure`)."""
+
+from contextlib import contextmanager
 
 
 class PhonoamError(Exception):
@@ -72,3 +75,12 @@ class StaleCache(PhonoamError):
 
 class IoFailure(PhonoamError):
     pass
+
+
+@contextmanager
+def io_failure(what: str = ""):
+    """IoFailure(what + message) for an OSError or UnicodeError raised in the block."""
+    try:
+        yield
+    except (OSError, UnicodeError) as exc:
+        raise IoFailure(f"{what}{exc}") from exc

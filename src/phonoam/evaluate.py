@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import Utterance
 from .ctc import greedy_decode
-from .errors import InventoryMismatch, IoFailure
+from .errors import InventoryMismatch, io_failure
 from .model import AcousticModel, embeddings, model_forward
 
 
@@ -153,10 +153,7 @@ def export_embeddings(model: AcousticModel, path) -> None:
     E, _ = embeddings(model)
     if E.shape[0] != model.n_units:
         raise InventoryMismatch(f"{E.shape[0]} embedding rows for {model.n_units} units")
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            for symbol, row in zip(model.units, E):
-                writer.writerow([symbol, *(repr(float(v)) for v in row)])
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    with io_failure(), open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        for symbol, row in zip(model.units, E):
+            writer.writerow([symbol, *(repr(float(v)) for v in row)])

@@ -17,11 +17,11 @@ import numpy as np
 
 from .errors import (
     DuplicatePhone,
-    IoFailure,
     MalformedRow,
     UnknownMark,
     UnknownPhone,
     WrongFeatureCount,
+    io_failure,
 )
 
 FEATURE_COUNT = 24
@@ -141,11 +141,8 @@ def parse_feature_table(text: str) -> FeatureTable:
 
 
 def load_feature_table(path) -> FeatureTable:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoFailure(f"cannot read feature table {path}: {exc}") from exc
+    with io_failure(f"cannot read feature table {path}: "), open(path, encoding="utf-8") as fh:
+        text = fh.read()
     return parse_feature_table(text)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import DuplicateLanguageId, DuplicatePhone, IoFailure
+from .errors import DuplicateLanguageId, DuplicatePhone, IoFailure, io_failure
 from .features import SPECIAL_SYMBOLS, SpecialToken
 
 SPECIAL_UNITS = tuple(SPECIAL_SYMBOLS[t] for t in SpecialToken)
@@ -89,10 +89,12 @@ def load_inventory(path) -> LanguageInventory:
         raise IoFailure(f"inventory {path}: `language` must be a string")
     if not isinstance(phones, list) or not all(isinstance(p, str) for p in phones):
         raise IoFailure(f"inventory {path}: `phones` must be a list of strings")
+    with io_failure(f"inventory {path}: "):  # the JSON escape "\ud800" loads as text UTF-8 cannot encode
+        "".join([language, *phones]).encode("utf-8")
     return LanguageInventory(language_id=language, phones=tuple(phones))
 
 
 def save_inventory(inv: LanguageInventory, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with io_failure(), open(path, "w", encoding="utf-8") as fh:
         json.dump({"language": inv.language_id, "phones": list(inv.phones)}, fh,
                   ensure_ascii=False, indent=2)

@@ -34,7 +34,7 @@ from . import crf as crf_mod
 from .crf import DenominatorGraph
 from .ctc import check_labels
 from .encoder import EncoderConfig, encoder_backward, encoder_forward, encoder_shapes
-from .errors import DimensionMismatch, ModeHeadMismatch
+from .errors import DimensionMismatch, DuplicatePhone, ModeHeadMismatch
 from .features import VECTOR_BITS
 from .heads import HEAD_KINDS, compute_embeddings, head_backward, head_shapes, logits
 from .lm import PhoneLM
@@ -82,6 +82,8 @@ def build_model(
         raise DimensionMismatch(f"head_hidden must be >= 1, got {head_hidden}")
     if head not in HEAD_KINDS:
         raise ValueError(f"unknown head kind {head!r}")
+    if P.shape != (len(units), VECTOR_BITS):
+        raise DimensionMismatch(f"P must be {len(units)} x {VECTOR_BITS}, got {P.shape}")
     params = glorot_params(model_shapes(len(units), encoder_config, head, head_hidden), np.random.default_rng(seed))
     return AcousticModel(encoder_config, head, params, P, tuple(units))
 
@@ -93,10 +95,13 @@ def model_params(model: AcousticModel) -> dict[str, np.ndarray]:
 
 
 def set_model_params(model: AcousticModel, params: dict[str, np.ndarray]) -> None:
-    """Replace the model's arrays of these names; KeyError for a name it lacks."""
+    """Replace the model's arrays of these names; KeyError for an unknown name, DimensionMismatch for a new shape."""
     unknown = params.keys() - model.params.keys()
     if unknown:
         raise KeyError(f"model has no parameter {', '.join(sorted(unknown))}")
+    reshaped = sorted(k for k, v in params.items() if np.shape(v) != model.params[k].shape)
+    if reshaped:
+        raise DimensionMismatch(f"parameters {', '.join(reshaped)} would change shape")
     model.params.update(params)
 
 
@@ -117,7 +122,7 @@ def extend_model(
 ) -> AcousticModel:
     """New model covering M extra units, sharing no array with the model.
 
-    new_P holds the M x 51 phonological-vectors of the new units.  Modes:
+    new_P holds the M x 51 phonological-vectors of M distinct units new to the model.  Modes:
 
     phonology    -- phonology-driven heads only: the new embeddings follow from
                     new_P through the unchanged head.
@@ -127,8 +132,10 @@ def extend_model(
 
     Flat rows then train as ordinary parameters during finetuning.
     """
-    if new_P.ndim != 2 or new_P.shape[1] != VECTOR_BITS:
-        raise DimensionMismatch(f"new_P must be M x {VECTOR_BITS}, got {new_P.shape}")
+    if new_P.shape != (len(new_units), VECTOR_BITS):
+        raise DimensionMismatch(f"new_P must be {len(new_units)} x {VECTOR_BITS}, got {new_P.shape}")
+    if len(set(new_units)) != len(new_units) or set(new_units) & set(model.units):
+        raise DuplicatePhone("new units must be distinct and not already units of the model")
     flat = model.head == "flat"
     if mode not in (("random", "mean_of_seen") if flat else ("phonology",)):
         raise ModeHeadMismatch(f"extension mode {mode!r} does not apply to a {model.head} head")

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import re
@@ -10,9 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from phonoam.benchmark import write_report
 from phonoam.checkpoint import load_checkpoint, save_checkpoint
 from phonoam import cli
 from phonoam.cli import main
+from phonoam.corpus import load_corpus, save_corpus
+from phonoam.errors import IoFailure
+from phonoam.evaluate import export_embeddings
 from phonoam.inventory import LanguageInventory, save_inventory
 from phonoam.model import build_model, model_params, params_checksum
 from test_checkpoint import rewrite
@@ -462,6 +467,8 @@ def test_retyped_corpus_exits_0_or_2(data, trained, workdir):
     '{"phones": ["d"]}', '{"language": "X"}', '["d"]', "{not json",
     '{"language": "X", "phones": 5}', '{"language": "X", "phones": "abc"}',
     '{"language": "X", "phones": ["d", 5]}', '{"language": 3, "phones": ["d"]}',
+    # JSON escapes of a lone surrogate, which UTF-8 cannot encode
+    '{"language": "X", "phones": ["d", "\\ud800"]}', '{"language": "\\udfff", "phones": ["d"]}',
 ])
 def test_bad_inventory_exits_2(doc, workdir, capsys):
     path = workdir / "bad_inventory.json"
@@ -744,6 +751,54 @@ def test_bench_summary_prints_median_table(summary, tmp_path, capsys, monkeypatc
         "flat        few_shot         0.450   0.225   0.900\n"
     )
     assert out == records + (table if summary else "")
+
+
+def test_checkpoints_are_written_at_exactly_out(workdir, capsys):
+    """A checkpoint name need not end in .npz: each step reads the file the step before wrote."""
+    features = str(workdir / "features.tsv")
+    model, ext, ft = (workdir / f"{name}.ckpt" for name in ("chain", "chain_extended", "chain_finetuned"))
+    steps = [
+        ["train", "--features", features, "--inventories", str(workdir / "L1.json"),
+         "--corpus", str(workdir / "L1.jsonl"), *SMALL_TRAIN, "--out", str(model)],
+        ["extend", "--checkpoint", str(model), "--features", features,
+         "--target", str(workdir / "target.json"), "--out", str(ext)],
+        ["finetune", "--checkpoint", str(ext), "--corpus", str(workdir / "target.jsonl"),
+         "--epochs", "1", "--out", str(ft)],
+        ["eval", "--checkpoint", str(ft), "--corpus", str(workdir / "target.jsonl")],
+    ]
+    for argv in steps:
+        assert run(capsys, *argv)[0] == 0, argv[0]
+    assert not list(workdir.glob("chain*.npz"))
+
+
+@pytest.mark.parametrize("writer", [
+    "save_checkpoint", "save_corpus", "write_report", "export_embeddings", "save_inventory", "phoneset build",
+])
+def test_every_writer_refuses_a_missing_directory(writer, trained, workdir):
+    model, _ = load_checkpoint(trained)
+    path = workdir / "no_such_dir" / "out"
+    write = {
+        "save_checkpoint": lambda: save_checkpoint(model, path),
+        "save_corpus": lambda: save_corpus(load_corpus(workdir / "L1.jsonl"), path),
+        "write_report": lambda: write_report(BENCH_RECORDS, path),
+        "export_embeddings": lambda: export_embeddings(model, path),
+        "save_inventory": lambda: save_inventory(LanguageInventory("L1", PHONES[:5]), path),
+        # the command itself, past main's check of --out
+        "phoneset build": lambda: cli.cmd_phoneset_build(
+            argparse.Namespace(inventories=[str(workdir / "L1.json")], out=str(path))),
+    }[writer]
+    with pytest.raises(IoFailure, match="No such file or directory"):
+        write()
+
+
+def test_export_embeddings_of_an_unencodable_unit_exits_2(trained, workdir, capsys):
+    # checkpoint metadata is JSON, so the escape "\ud800" loads as a lone surrogate
+    units = list(load_checkpoint(trained)[0].units)
+    path = workdir / "surrogate_unit.npz"
+    rewrite(trained, path, [(None, "units", units[:-1] + ["\ud800"])])
+    code = main(["export-embeddings", "--checkpoint", str(path), "--out", str(workdir / "surrogate_unit.csv")])
+    assert code == 2
+    assert "surrogates not allowed" in capsys.readouterr().err
 
 
 def test_selftest_passes(capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from phonoam.corpus import make_emission_map, generate_language, SynthLanguageSpec
 from phonoam.encoder import EncoderConfig
-from phonoam.errors import DimensionMismatch, ModeHeadMismatch
+from phonoam.errors import DimensionMismatch, DuplicatePhone, ModeHeadMismatch
 from phonoam.features import SpecialToken, builtin_table, encode_inventory
 from phonoam.heads import compute_embeddings
 from phonoam.inventory import LanguageInventory, merge_inventories
@@ -115,6 +115,21 @@ def same_bits(a, b) -> bool:
     return a == b
 
 
+def test_set_model_params_refuses_a_new_shape():
+    model, _ = tiny_model("nonlinear")
+    before = model_params(model)
+    with pytest.raises(DimensionMismatch, match="enc.b0"):
+        set_model_params(model, {"enc.W0": before["enc.W0"] + 1.0, "enc.b0": np.zeros(1)})
+    assert all(model.params[k] is v for k, v in before.items())
+
+
+def test_build_model_refuses_P_of_another_shape():
+    model, ps = tiny_model()
+    for P in (model.P[:-1], model.P[:, :-1]):
+        with pytest.raises(DimensionMismatch, match="P must be"):
+            build_model(ps.units, P, model.encoder_config, head="linear")
+
+
 def test_head_hidden_below_one_rejected():
     model, ps = tiny_model()
     with pytest.raises(DimensionMismatch, match="head_hidden"):
@@ -178,6 +193,21 @@ class TestExtend:
         assert params_checksum(model_params(model)) == before
         # the new rows are exactly what the unchanged head maps new_P to
         assert np.allclose(embeddings(ext)[0][-2:], compute_embeddings(model.head, model.params, newP)[0])
+
+    @pytest.mark.parametrize("head, mode", [("flat", "random"), ("linear", "phonology")])
+    def test_one_row_per_new_unit(self, head, mode):
+        model, _ = tiny_model(head)
+        newP = encode_inventory(TABLE, [PHONES[5]], specials=[])
+        with pytest.raises(DimensionMismatch):
+            extend_model(model, (PHONES[5], PHONES[6]), newP, mode=mode, seed=1)
+
+    @pytest.mark.parametrize("new", [(PHONES[5], PHONES[5]), (PHONES[0],)])
+    def test_new_units_must_be_distinct_and_new(self, new):
+        model, _ = tiny_model("linear")
+        assert PHONES[0] in model.units
+        newP = encode_inventory(TABLE, list(new), specials=[])
+        with pytest.raises(DuplicatePhone):
+            extend_model(model, new, newP, mode="phonology")
 
     def test_random_is_seeded(self):
         model, _ = tiny_model("flat")
