@@ -21,7 +21,7 @@ import zlib
 import numpy as np
 
 from .encoder import EncoderConfig
-from .errors import IoFailure, io_failure
+from .errors import IoFailure, io_failure, replace_on_success
 from .features import VECTOR_BITS
 from .heads import HEAD_KINDS
 from .model import AcousticModel, model_shapes
@@ -43,7 +43,7 @@ def save_checkpoint(model: AcousticModel, path, epoch: int = 0) -> None:
         "units": list(model.units),
         "epoch": epoch,
     }
-    with io_failure(), open(path, "wb") as fh:  # numpy appends ".npz" to a path, not to a handle
+    with io_failure(), replace_on_success(path, "wb") as fh:  # numpy appends ".npz" to a path, not to a handle
         np.savez_compressed(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
                             **{k.replace(".", "__"): v for k, v in model.params.items()}, P=model.P)
 

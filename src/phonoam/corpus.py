@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSynthSpec, IoFailure, UnknownPhone, io_failure
+from .errors import InvalidSynthSpec, IoFailure, UnknownPhone, io_failure, replace_on_success
 from .features import VECTOR_BITS, FeatureTable, encode_phone
 
 
@@ -101,7 +101,7 @@ def save_corpus(utterances: list[Utterance], path) -> None:
     per utterance with label indices and row-major float64 frames."""
     symbols = sorted({p for u in utterances for p in u.phones})
     index = {p: i for i, p in enumerate(symbols)}
-    with io_failure(), open(path, "w", encoding="utf-8") as fh:
+    with io_failure(), replace_on_success(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"symbols": symbols}, ensure_ascii=False) + "\n")
         for u in utterances:
             rec = {

@@ -22,12 +22,10 @@ one exp and one log over every lane, each lane shifted by its maximum, plus
 one matrix product for the forward lanes (v @ trans) and one for the backward
 lanes (v @ trans.T): only the loop over frames, as long as the longest
 utterance, is left in Python.  A loss that needs no gradient runs the forward
-lanes alone.  A lane past its own end reads its last real frame again, so its
-values stay finite and its padded cells, which are never read, cost nothing
-to guard.  Padding with -inf emissions, as the CTC kernel does, would be
-wrong here: the max shift of an all -inf lane is -inf - -inf, which is NaN.
-The per-state edge lists the graph also keeps are read only by the benchmark
-harness, which counts the graph's edges from them.
+lanes alone.  A lane past its own end reads the pad row of `lane_rows`, the
+padding rule of both kernels; it emits 0 here, so no lane's max shift is the
+NaN of -inf - -inf.  The per-state edge lists the graph also keeps are read
+only by the benchmark harness, which counts the graph's edges from them.
 
 `crf_batch_loss` scores a batch of utterances in one call of each kernel:
 CTC's batched lattice kernel, `ctc_label_counts`, for the numerator and
@@ -44,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctc import BLANK, CtcResult, check_labels, ctc_label_counts, lane_rows
+from .ctc import BLANK, CtcResult, check_labels, ctc_label_counts, lane_rows, scatter_counts
 from .heads import log_posteriors
 from .lm import PhoneLM
 
@@ -139,7 +137,8 @@ def denominator_forward_backward(graph: DenominatorGraph, logy: np.ndarray, leng
     T = np.array([len(logy)] if lengths is None else lengths)
     B = len(T)
     trans, unit = graph.trans, graph.states[:, 1]
-    em = logy[:, unit][lane_rows(T, backward)]  # steps x lanes x states
+    rows = lane_rows(T, backward)
+    em = np.vstack([logy, np.zeros(logy.shape[1])])[:, unit][rows]  # steps x lanes x states
     pre = np.empty(em.shape)
     pre[0, :B] = graph.init_logw
     pre[0, B:] = graph.final_logw
@@ -161,15 +160,13 @@ def denominator_forward_backward(graph: DenominatorGraph, logy: np.ndarray, leng
     logden = _logsumexp(pre[T - 1, b] + em[T - 1, b] + graph.final_logw)
     counts = None
     if backward:
-        # every utterance's frames in stacked order: step t of lane b, and
+        # every utterance's real steps in stacked order: step t of lane b, and
         # step T_b - 1 - t of lane B + b; each frame's states are added in order
-        utt = np.repeat(b, T)
-        t = np.arange(len(utt)) - np.repeat(np.cumsum(T) - T, T)
-        la = pre[t, utt] + em[t, utt]
-        lb = pre[T[utt] - 1 - t, B + utt]
-        gamma = np.exp(la + lb - logden[utt, None])
-        cell = np.arange(len(utt))[:, None] * logy.shape[1] + unit
-        counts = np.bincount(cell.ravel(), gamma.ravel(), minlength=logy.size).reshape(logy.shape)
+        b, t = np.nonzero(rows[:, :B].T < len(logy))
+        la = pre[t, b] + em[t, b]
+        lb = pre[T[b] - 1 - t, B + b]
+        gamma = np.exp(la + lb - logden[b, None])
+        counts = scatter_counts(rows[t, b][:, None], unit, gamma, logy.shape)
     return (float(logden[0]) if lengths is None else logden), counts
 
 

@@ -5,10 +5,12 @@ the natural-log domain with pairwise logaddexp; there is no probability-domain
 fallback.  One kernel, `ctc_label_counts`, scores a whole batch of utterances:
 each utterance's forward recursion and its backward one (the forward
 recursion over the reversed lattice) are two rows, or lanes, of one loop over
-frames, three ufunc calls per frame for every lane at once.  Every lane's
-arithmetic is elementwise, so an utterance gets the same bits whatever batch
-it is scored in.  The gradient returned is with respect to the raw logits,
-i.e. the softmax Jacobian is already folded in (each row of dZ sums to zero).
+frames, three ufunc calls per frame for every lane at once; a lane past its
+own end reads the pad row of `lane_rows`, the padding rule this kernel shares
+with the CTC-CRF denominator.  Every lane's arithmetic is elementwise, so an
+utterance gets the same bits whatever batch it is scored in.  The gradient
+returned is with respect to the raw logits, i.e. the softmax Jacobian is
+already folded in (each row of dZ sums to zero).
 """
 
 from __future__ import annotations
@@ -76,15 +78,28 @@ def ctc_batch_loss(Z: np.ndarray, lengths, labels, backward: bool = True):
 def lane_rows(lengths, backward: bool = True) -> np.ndarray:
     """The row of the stacked frames that each lane reads at each step, as a
     (longest utterance) x lanes array.  Lane b steps through utterance b's
-    frames and, with `backward`, lane B + b through them reversed; a lane
-    past its own end reads its last frame again."""
+    frames and, with `backward`, lane B + b through them reversed.  The one
+    padding rule of both lattice kernels: a lane past its own end reads row
+    sum(lengths), a pad row that each kernel puts after the stacked frames
+    (-inf emissions for CTC, 0 for the CRF denominator) and that
+    `scatter_counts` drops."""
     T = np.asarray(lengths)
     start = np.cumsum(T) - T
     t = np.arange(T.max())[:, None]
-    rows = start + np.minimum(t, T - 1)
+    real = t < T
+    rows = np.where(real, start + t, T.sum())
     if backward:
-        rows = np.concatenate([rows, start + np.maximum(T - 1 - t, 0)], axis=1)
+        rows = np.concatenate([rows, np.where(real, start + T - 1 - t, T.sum())], axis=1)
     return rows
+
+
+def scatter_counts(rows, units, gamma, shape) -> np.ndarray:
+    """Occupancies gamma summed into an array of `shape` at (rows, units),
+    which broadcast to gamma's shape, each cell's in gamma's order; the pad
+    row and pad unit, row shape[0] and column shape[1], are dropped."""
+    n, N = shape
+    counts = np.bincount((rows * (N + 1) + units).ravel(), gamma.ravel(), minlength=(n + 1) * (N + 1))
+    return counts.reshape(n + 1, N + 1)[:n, :N]
 
 
 def ctc_label_counts(logy: np.ndarray, lengths, labels, backward: bool = True):
@@ -96,35 +111,34 @@ def ctc_label_counts(logy: np.ndarray, lengths, labels, backward: bool = True):
     Utterance b's lattice is blk l1 blk ... lL blk.  Lane b runs it forward;
     with `backward`, lane B + b runs it with its states and frames reversed,
     which is the backward pass.  Lanes are padded to the longest lattice and
-    utterance, after their own states and frames: a lattice moves only to
-    higher states and frames, so the padding never reaches a lane's real
-    cells.  Each frame is one stay/advance/skip step for every lane in
-    three ufunc calls: the skip is a logaddexp masked to the states it may
-    enter.
+    utterance, after their own states and frames, with a -inf pad unit and
+    `lane_rows`' pad row: a lattice moves only to higher states and frames,
+    so the padding never reaches a lane's real cells.  Each frame is one
+    stay/advance/skip step for every lane in three ufunc calls: the skip is a
+    logaddexp masked to the states it may enter.
     """
     B = len(labels)
     T = np.asarray(lengths)
     L = np.fromiter(map(len, labels), int, B)
     S = 2 * L + 1
-    start = np.cumsum(T) - T  # each utterance's first row in logy
+    n, N = logy.shape
 
-    # each lane's units, blank padded: the forward lanes, then the reversed ones
+    # each lane's units, unit N (the pad unit) past its own states: the
+    # forward lanes, then the reversed ones
     utt = np.repeat(np.arange(B), L)
     pos = np.arange(len(utt)) - np.repeat(np.cumsum(L) - L, L)
     flat = np.concatenate(labels)
-    aug = np.zeros((2 * B if backward else B, S.max()), dtype=int)
+    aug = np.tile(np.where(np.arange(S.max()) < S[:, None], BLANK, N), (2 if backward else 1, 1))
     aug[utt, 2 * pos + 1] = flat
     if backward:
         aug[B + utt, 2 * (L[utt] - pos) - 1] = flat
     lanes, width = aug.shape
 
-    # the padding emits -inf, so it stays -inf, logaddexp's cheap case
+    # the pad row and unit emit -inf, so padding stays -inf, logaddexp's cheap case
+    padded = np.full((n + 1, N + 1), -np.inf)
+    padded[:n, :N] = logy
     rows = lane_rows(T, backward)
-    t = np.arange(len(rows))[:, None]
-    em = logy.take(rows[:, :, None] * logy.shape[1] + aug)
-    lane_T, lane_S = (np.concatenate([T, T]), np.concatenate([S, S])) if backward else (T, S)
-    np.copyto(em, -np.inf, where=(t >= lane_T)[:, :, None])
-    np.copyto(em, -np.inf, where=np.arange(width) >= lane_S[:, None])
+    em = padded.take(rows[:, :, None] * (N + 1) + aug)
 
     # skip from s-2 into a label allowed when it differs from the label before
     ok = np.zeros(aug.shape, dtype=bool)
@@ -144,30 +158,21 @@ def ctc_label_counts(logy: np.ndarray, lengths, labels, backward: bool = True):
         np.logaddexp(p, jump, out=p, where=ok)
         np.add(p, em[f], out=stay)
 
-    # flat index into pre and em of lane b's state s at frame t
-    def cell(t, b, s):
-        return (t * lanes + b) * width + s
-
     b = np.arange(B)
-    end = cell(T - 1, b, S - 1)
-    loglik = np.logaddexp(pre.take(end) + em.take(end), pre.take(end - 1) + em.take(end - 1))
+    end = pre[T - 1, b] + em[T - 1, b]  # each utterance's last frame, after its emission
+    loglik = np.logaddexp(end[b, S - 1], end[b, S - 2])
     if not backward:
         return loglik, None
 
-    # every utterance's real cells (b, t, s) in that order
-    n = T * S
-    b = np.repeat(b, n)
-    t, s = np.divmod(np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n), S[b])
-    fwd = cell(t, b, s)
-    la = pre.take(fwd) + em.take(fwd)
-    lb = pre.take(cell(T[b] - 1 - t, B + b, S[b] - 1 - s))
-
-    # state occupancies -> expected unit counts per frame, each utterance's
-    # states added in order
+    # occupancies over the padded grid, the backward value read at the mirrored
+    # step and state; a pad cell's forward value is -inf, so whatever its mirror
+    # it adds 0 (NaN in an infeasible lane) to the pad row or unit
+    t = np.arange(len(rows))[:, None, None]
+    la = pre[:, :B] + em[:, :B]
+    lb = pre[T[:, None] - 1 - t, B + b[:, None], S[:, None] - 1 - np.arange(width)]
     with np.errstate(invalid="ignore"):
-        gamma = np.exp(la + lb - loglik[b])
-    counts = np.bincount((start[b] + t) * logy.shape[1] + aug[b, s], gamma, minlength=logy.size)
-    return loglik, counts.reshape(logy.shape)
+        gamma = np.exp(la + lb - loglik[:, None])
+    return loglik, scatter_counts(rows[:, :B, None], aug[:B], gamma, logy.shape)
 
 
 def greedy_decode(Z: np.ndarray) -> list[int]:

@@ -1,6 +1,10 @@
-"""Exception types shared across the package, and its one rule for file failures: an
-OSError or UnicodeError raised reading or writing a file becomes an IoFailure (`io_failure`)."""
+"""Exception types shared across the package, and its two rules for files: an OSError
+or UnicodeError raised reading or writing a file becomes an IoFailure (`io_failure`), and
+a write that fails leaves the file as it was (`replace_on_success`)."""
 
+import os
+import secrets
+import stat
 from contextlib import contextmanager
 
 
@@ -84,3 +88,36 @@ def io_failure(what: str = ""):
         yield
     except (OSError, UnicodeError) as exc:
         raise IoFailure(f"{what}{exc}") from exc
+
+
+@contextmanager
+def replace_on_success(path, mode: str = "w", **options):
+    """`open(path, mode, **options)` for writing, through a temporary file in the
+    target's directory that is renamed onto the target only when the block
+    completes and removed on any exception, so a failed write leaves the file
+    as it was.  As with `open`, a symlink is written through to its target and
+    the file keeps its permission bits, or gets the umask's if it is new.  A
+    target that is not a writable regular file (such as /dev/null), or whose
+    directory takes no temporary file, is opened in place."""
+    target = os.path.realpath(path)
+    exists = os.path.exists(target)
+    fd = None
+    if not exists or (os.path.isfile(target) and os.access(target, os.W_OK)):
+        tmp = f"{target}.{secrets.token_hex(4)}.tmp"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # less the umask, as `open` does
+        except OSError:
+            pass
+    if fd is None:
+        with open(path, mode, **options) as fh:
+            yield fh
+        return
+    try:
+        if exists:
+            os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+        with open(fd, mode, **options) as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import DuplicateLanguageId, DuplicatePhone, IoFailure, io_failure
+from .errors import DuplicateLanguageId, DuplicatePhone, IoFailure, io_failure, replace_on_success
 from .features import SPECIAL_SYMBOLS, SpecialToken
 
 SPECIAL_UNITS = tuple(SPECIAL_SYMBOLS[t] for t in SpecialToken)
@@ -95,6 +95,6 @@ def load_inventory(path) -> LanguageInventory:
 
 
 def save_inventory(inv: LanguageInventory, path) -> None:
-    with io_failure(), open(path, "w", encoding="utf-8") as fh:
+    with io_failure(), replace_on_success(path, "w", encoding="utf-8") as fh:
         json.dump({"language": inv.language_id, "phones": list(inv.phones)}, fh,
                   ensure_ascii=False, indent=2)

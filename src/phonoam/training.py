@@ -7,10 +7,13 @@ dev loss is NaN (every dev utterance infeasible) leaves the schedule as is.
 
 Each optimizer step is one `batch_loss_and_grads` call, which runs the whole
 batch as one stacked pass: one forward, one loss-kernel call and one
-backward.  Each epoch's dev pass forwards the dev utterances `batch_size` at a
-time, one stacked forward per chunk, so each utterance once: it decodes each
-for PER by `evaluate`'s charging rule and scores the loss of the feasible ones
-with the forward recursion alone, so it runs no backward pass.
+backward.  A batch whose loss or gradient norm before clipping is not finite
+takes no step: its utterances count as skipped, and neither Adam's state nor
+the epoch's train loss sees it.  Each epoch's dev pass forwards the dev
+utterances `batch_size` at a time, one stacked forward per chunk, so each
+utterance once: it decodes each for PER by `evaluate`'s charging rule and
+scores the loss of the feasible ones with the forward recursion alone, so it
+runs no backward pass.
 
 The embeddings and the nonlinear head's hidden layer depend only on the
 parameters, so `train` computes them once per optimizer step and once per dev
@@ -140,16 +143,8 @@ class TrainReport:
     dev_loss: list[float] = field(default_factory=list)
     dev_per: list[float] = field(default_factory=list)
     lr: list[float] = field(default_factory=list)
-    skipped: int = 0
+    skipped: int = 0  # infeasible utterances, plus those of each batch with a non-finite loss or gradient
     final_checksum: str = ""
-
-
-def _clip_global(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if total <= max_norm or total == 0.0:
-        return grads
-    scale = max_norm / total
-    return {k: g * scale for k, g in grads.items()}
 
 
 def _labelled(utts, index: dict[str, int], n_units: int) -> list[tuple[Utterance, list[int] | None]]:
@@ -247,12 +242,17 @@ def train(
             nll, acc = batch_loss_and_grads(
                 model, [(utt.frames, labels) for utt, labels in batch], config.loss, lm, graph
             )
-            epoch_losses.extend(nll)
             acc = {k: g / len(batch) for k, g in acc.items()}
-            acc = _clip_global(acc, CLIP_NORM)
+            norm = math.sqrt(sum(float((g * g).sum()) for g in acc.values()))
+            if not (math.isfinite(norm) and np.isfinite(nll).all()):
+                report.skipped += len(batch)  # Adam never sees the batch
+                continue
+            if norm > CLIP_NORM:
+                acc = {k: g * (CLIP_NORM / norm) for k, g in acc.items()}
+            epoch_losses.extend(nll)
             adam_step(params, acc, adam, lr)
 
-        report.train_loss.append(float(np.mean(epoch_losses)))
+        report.train_loss.append(float(np.mean(epoch_losses)) if epoch_losses else float("nan"))
         dev_loss, dev_per = _dev_pass(model, dev, config, lm, graph)
         report.dev_loss.append(dev_loss)
         report.dev_per.append(dev_per)

@@ -1,10 +1,13 @@
 import argparse
 import io
 import json
+import os
 import re
+import signal
+import stat
 import tracemalloc
 import warnings
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from importlib import resources
 
 import numpy as np
@@ -771,13 +774,13 @@ def test_checkpoints_are_written_at_exactly_out(workdir, capsys):
     assert not list(workdir.glob("chain*.npz"))
 
 
-@pytest.mark.parametrize("writer", [
-    "save_checkpoint", "save_corpus", "write_report", "export_embeddings", "save_inventory", "phoneset build",
-])
-def test_every_writer_refuses_a_missing_directory(writer, trained, workdir):
+WRITERS = ["save_checkpoint", "save_corpus", "write_report", "export_embeddings", "save_inventory", "phoneset build"]
+
+
+def writer_of(writer, trained, workdir, path):
+    """A call that writes `path` through the named writer."""
     model, _ = load_checkpoint(trained)
-    path = workdir / "no_such_dir" / "out"
-    write = {
+    return {
         "save_checkpoint": lambda: save_checkpoint(model, path),
         "save_corpus": lambda: save_corpus(load_corpus(workdir / "L1.jsonl"), path),
         "write_report": lambda: write_report(BENCH_RECORDS, path),
@@ -787,8 +790,38 @@ def test_every_writer_refuses_a_missing_directory(writer, trained, workdir):
         "phoneset build": lambda: cli.cmd_phoneset_build(
             argparse.Namespace(inventories=[str(workdir / "L1.json")], out=str(path))),
     }[writer]
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_every_writer_refuses_a_missing_directory(writer, trained, workdir):
+    write = writer_of(writer, trained, workdir, workdir / "no_such_dir" / "out")
     with pytest.raises(IoFailure, match="No such file or directory"):
         write()
+
+
+@contextmanager
+def file_size_limit(nbytes):
+    """In the block, a write past a file's first nbytes bytes fails with an OSError (EFBIG)."""
+    resource = pytest.importorskip("resource")
+    limit = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # the signal would end the process
+    resource.setrlimit(resource.RLIMIT_FSIZE, (nbytes, limit[1]))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, limit)
+        signal.signal(signal.SIGXFSZ, handler)
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_a_write_that_fails_midway_leaves_the_old_file(writer, trained, workdir, tmp_path):
+    path = tmp_path / "out"
+    path.write_bytes(b"old bytes\n")
+    write = writer_of(writer, trained, workdir, path)
+    with pytest.raises(IoFailure, match="File too large"), file_size_limit(32):
+        write()
+    assert path.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]  # no temporary file is left
 
 
 def test_export_embeddings_of_an_unencodable_unit_exits_2(trained, workdir, capsys):
@@ -799,6 +832,42 @@ def test_export_embeddings_of_an_unencodable_unit_exits_2(trained, workdir, caps
     code = main(["export-embeddings", "--checkpoint", str(path), "--out", str(workdir / "surrogate_unit.csv")])
     assert code == 2
     assert "surrogates not allowed" in capsys.readouterr().err
+
+
+def test_a_replaced_file_keeps_what_open_would_give(tmp_path):
+    records = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in BENCH_RECORDS)
+    umask = os.umask(0)
+    os.umask(umask)
+    write_report(BENCH_RECORDS, tmp_path / "new")
+    assert stat.S_IMODE((tmp_path / "new").stat().st_mode) == 0o666 & ~umask
+    existing = tmp_path / "existing"
+    existing.write_text("old\n")
+    existing.chmod(0o640)
+    write_report(BENCH_RECORDS, existing)
+    assert stat.S_IMODE(existing.stat().st_mode) == 0o640 and existing.read_text() == records
+    link = tmp_path / "link"
+    link.symlink_to("target")
+    write_report(BENCH_RECORDS, link)  # written through to the symlink's target
+    assert link.is_symlink() and (tmp_path / "target").read_text() == records
+    write_report(BENCH_RECORDS, os.devnull)  # not a regular file: written in place
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing", "link", "new", "target"]
+
+
+@pytest.mark.parametrize("old", [None, b"old,embeddings\n"])
+def test_a_failed_export_leaves_out_as_it_was(old, trained, workdir, tmp_path, capsys):
+    # the last unit cannot be encoded, so the write fails after every other row
+    units = list(load_checkpoint(trained)[0].units)
+    path = workdir / "surrogate_last_unit.npz"
+    rewrite(trained, path, [(None, "units", units[:-1] + ["\ud800"])])
+    out = tmp_path / "emb.csv"
+    if old is not None:
+        out.write_bytes(old)
+    assert main(["export-embeddings", "--checkpoint", str(path), "--out", str(out)]) == 2
+    assert "surrogates not allowed" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["emb.csv"])
+    if old is not None:
+        assert out.read_bytes() == old
 
 
 def test_selftest_passes(capsys):

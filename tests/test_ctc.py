@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from phonoam.ctc import BLANK, collapse, ctc_label_counts, ctc_loss, greedy_decode
+from phonoam.ctc import BLANK, collapse, ctc_label_counts, ctc_loss, greedy_decode, scatter_counts
 from phonoam.errors import InfeasibleLength, NonFiniteInput
 from phonoam.heads import log_posteriors
 from phonoam.selftest import brute_force_ctc, finite_difference, max_rel_err
+from lattice_reference import reference_ctc_label_counts
 
 RNG = np.random.default_rng(23)
 
@@ -294,6 +295,46 @@ class TestBatchedLabelCounts:
         self.assert_batch_matches(logys, labels)
         loglik, _ = ctc_label_counts(np.concatenate(logys), [len(lg) for lg in logys], labels)
         assert np.isneginf(loglik[2]) and np.isfinite(np.delete(loglik, 2)).all()
+
+
+class TestPadRowKernel:
+    """`ctc_label_counts` against the kernel that re-read each lane's last frame
+    and masked its padding: the same bits."""
+
+    @pytest.mark.parametrize("scale", [0.5, 3.0, 30.0])
+    @pytest.mark.parametrize("B", range(1, 9))
+    def test_same_bits_as_the_last_frame_kernel(self, B, scale):
+        rng = np.random.default_rng([B, int(scale * 10), 1])
+        for _ in range(4):
+            N = int(rng.integers(3, 40))
+            logys, labels = TestBatchedLabelCounts().draw_batch(rng, B, scale, N)
+            b = int(rng.integers(B))
+            logys[b], labels[b] = logys[b][:1], labels[b][:1]  # a one-frame lane
+            if B > 1:  # and an infeasible lane: two labels in one frame
+                b = (b + 1) % B
+                logys[b], labels[b] = logys[b][:1], [1, 2]
+            logy, lengths = np.concatenate(logys), [len(lg) for lg in logys]
+            loglik, counts = ctc_label_counts(logy, lengths, labels)
+            ref_loglik, ref_counts = reference_ctc_label_counts(logy, lengths, labels)
+            assert np.array_equal(loglik, ref_loglik)
+            assert np.array_equal(counts, ref_counts, equal_nan=True)
+
+
+def test_scatter_counts_matches_add_at_and_drops_the_pad_row_and_unit():
+    rng = np.random.default_rng(5)
+    n, N = 7, 4
+    rows = rng.integers(0, n + 1, size=(30, 1))  # row n is the pad row
+    units = rng.integers(0, N + 1, size=(30, 6))  # unit N is the pad unit
+    gamma = rng.random((30, 6))
+    ref = np.zeros((n, N))
+    for r, u, g in zip(np.broadcast_to(rows, units.shape).ravel(), units.ravel(), gamma.ravel()):
+        if r < n and u < N:
+            np.add.at(ref, (r, u), g)
+    counts = scatter_counts(rows, units, gamma, (n, N))
+    assert counts.shape == (n, N)
+    assert np.array_equal(counts, ref)
+    real = (rows < n) & (units < N)
+    assert (~real).any() and np.isclose(counts.sum(), gamma[real].sum())
 
 
 class TestGreedyDecode:

@@ -21,6 +21,7 @@ from phonoam.selftest import (
     max_rel_err,
     _random_instance,
 )
+from lattice_reference import reference_denominator
 
 RNG = np.random.default_rng(31)
 
@@ -245,6 +246,26 @@ class TestDenominator:
                     ref_logden, ref_counts = denominator_forward_backward(graph, logy[lo:hi])
                     assert abs(logden[b] - ref_logden) <= 1e-12 * abs(ref_logden), (B, scale, b)
                     assert np.max(np.abs(counts[lo:hi] - ref_counts)) <= 1e-12, (B, scale, b)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("smoothing", [0.0, 1.0])
+    def test_same_bits_as_the_last_frame_kernel(self, order, smoothing):
+        # the kernel that let a lane past its end re-read its last frame, and
+        # enumerated each utterance's frames in turn
+        rng = np.random.default_rng(60 + order * 10 + int(smoothing))
+        for B in range(1, 9):
+            N = int(rng.integers(2, 20))
+            corpus = [[int(u) for u in rng.integers(1, N, size=rng.integers(1, 6))] for _ in range(10)]
+            lm = train_phone_lm(corpus, order=order, smoothing=smoothing, vocab=range(1, N))
+            graph = build_denominator_graph(N, lm)
+            for scale in (0.5, 3.0, 30.0):
+                lengths = rng.integers(1, 30, size=B)
+                lengths[rng.integers(B)] = 1  # a lane that ends at its first frame
+                logy = log_posteriors(rng.normal(0.0, scale, size=(lengths.sum(), N)))
+                logden, counts = denominator_forward_backward(graph, logy, lengths)
+                ref_logden, ref_counts = reference_denominator(graph, logy, lengths)
+                assert np.array_equal(logden, ref_logden), (B, N, scale)
+                assert np.array_equal(counts, ref_counts), (B, N, scale)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_forward_lanes_alone_give_the_same_log_denominators(self, order):

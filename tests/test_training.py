@@ -213,6 +213,45 @@ class TestTrain:
         assert report.lr == [cfg.lr] * (cfg.max_epochs + 1)
         assert len(report.train_loss) == cfg.max_epochs
 
+    def test_a_non_finite_batch_takes_no_step(self, monkeypatch):
+        # calls 2 and 4 return a NaN and an inf gradient with a huge loss, call 5
+        # a NaN loss: none of the three reaches Adam or the epoch's train loss
+        real_batch, real_adam = training.batch_loss_and_grads, training.adam_step
+        calls, steps = [], []
+
+        def batch(model, *args):
+            nll, grads = real_batch(model, *args)
+            k = len(calls) + 1
+            name = next(iter(grads))
+            if k in (2, 4):
+                nll = np.full_like(nll, 1e6)
+                grads = {**grads, name: np.full_like(grads[name], np.nan if k == 2 else np.inf)}
+            elif k == 5:
+                nll = np.where(np.arange(len(nll)) == 0, np.nan, nll)
+            calls.append((nll, {n: p.copy() for n, p in model.params.items()}))
+            return nll, grads
+
+        def adam(params, grads, state, lr):
+            before = (state.step, {n: m.copy() for n, m in state.m.items()}, {n: v.copy() for n, v in state.v.items()})
+            real_adam(params, grads, state, lr)
+            after = (state.step, {n: m.copy() for n, m in state.m.items()}, {n: v.copy() for n, v in state.v.items()})
+            steps.append((len(calls), before, after))
+
+        monkeypatch.setattr(training, "batch_loss_and_grads", batch)
+        monkeypatch.setattr(training, "adam_step", adam)
+        model, utts = make_setup()
+        report = train(model, utts[:8], utts[8:], TrainConfig(max_epochs=3, batch_size=4))
+
+        assert len(calls) == 6 and [k for k, _, _ in steps] == [1, 3, 6]
+        assert report.skipped == 12
+        for k in (2, 4, 5):  # parameters after a skipped batch are those before it
+            assert all(np.array_equal(calls[k][1][n], calls[k - 1][1][n]) for n in model.params)
+        for (_, _, after), (_, before, _) in zip(steps, steps[1:]):  # Adam's state too
+            assert after[0] == before[0]
+            assert all(np.array_equal(after[i][n], before[i][n]) for i in (1, 2) for n in model.params)
+        assert report.train_loss == [float(np.mean(calls[k][0])) for k in (0, 2, 5)]  # the stepped batches
+        assert all(np.isfinite(p).all() for p in model.params.values())
+
     def test_overfits_single_utterance(self, monkeypatch):
         monkeypatch.setattr(training, "PATIENCE", 50)
         monkeypatch.setattr(training, "MIN_DELTA", 0.0)
