@@ -5,12 +5,11 @@ the natural-log domain with pairwise logaddexp; there is no probability-domain
 fallback.  One kernel, `ctc_label_counts`, scores a whole batch of utterances:
 each utterance's forward recursion and its backward one (the forward
 recursion over the reversed lattice) are two rows, or lanes, of one loop over
-frames, three ufunc calls per frame for every lane at once; a lane past its
-own end reads the pad row of `lane_rows`, the padding rule this kernel shares
-with the CTC-CRF denominator.  Every lane's arithmetic is elementwise, so an
-utterance gets the same bits whatever batch it is scored in.  The gradient
-returned is with respect to the raw logits, i.e. the softmax Jacobian is
-already folded in (each row of dZ sums to zero).
+frames, three ufunc calls per frame for every lane at once, padded by the
+rule of `lane_rows` that the CTC-CRF denominator shares.  Every lane's
+arithmetic is elementwise, so an utterance gets the same bits whatever batch
+it is scored in.  The gradient returned is with respect to the raw logits,
+i.e. the softmax Jacobian is already folded in (each row of dZ sums to zero).
 """
 
 from __future__ import annotations
@@ -78,11 +77,10 @@ def ctc_batch_loss(Z: np.ndarray, lengths, labels, backward: bool = True):
 def lane_rows(lengths, backward: bool = True) -> np.ndarray:
     """The row of the stacked frames that each lane reads at each step, as a
     (longest utterance) x lanes array.  Lane b steps through utterance b's
-    frames and, with `backward`, lane B + b through them reversed.  The one
-    padding rule of both lattice kernels: a lane past its own end reads row
-    sum(lengths), a pad row that each kernel puts after the stacked frames
-    (-inf emissions for CTC, 0 for the CRF denominator) and that
-    `scatter_counts` drops."""
+    frames and, with `backward`, lane B + b through them reversed.  Both
+    lattice kernels pad by this rule: a lane past its own end reads row
+    sum(lengths), a pad row after the stacked frames (-inf emissions for CTC,
+    0 for the CRF denominator) that `scatter_counts` drops."""
     T = np.asarray(lengths)
     start = np.cumsum(T) - T
     t = np.arange(T.max())[:, None]
@@ -123,8 +121,7 @@ def ctc_label_counts(logy: np.ndarray, lengths, labels, backward: bool = True):
     S = 2 * L + 1
     n, N = logy.shape
 
-    # each lane's units, unit N (the pad unit) past its own states: the
-    # forward lanes, then the reversed ones
+    # each lane's units, pad unit N past its own states: the forward lanes, then the reversed ones
     utt = np.repeat(np.arange(B), L)
     pos = np.arange(len(utt)) - np.repeat(np.cumsum(L) - L, L)
     flat = np.concatenate(labels)

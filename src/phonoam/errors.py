@@ -3,7 +3,6 @@ or UnicodeError raised reading or writing a file becomes an IoFailure (`io_failu
 a write that fails leaves the file as it was (`replace_on_success`)."""
 
 import os
-import secrets
 import stat
 from contextlib import contextmanager
 
@@ -103,7 +102,7 @@ def replace_on_success(path, mode: str = "w", **options):
     exists = os.path.exists(target)
     fd = None
     if not exists or (os.path.isfile(target) and os.access(target, os.W_OK)):
-        tmp = f"{target}.{secrets.token_hex(4)}.tmp"
+        tmp = f"{target}.{os.urandom(4).hex()}.tmp"
         try:
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # less the umask, as `open` does
         except OSError:
