@@ -112,9 +112,9 @@ def replace_on_success(path, mode: str = "w", **options):
             yield fh
         return
     try:
-        if exists:
-            os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
         with open(fd, mode, **options) as fh:
+            if exists:
+                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
             yield fh
         os.replace(tmp, target)
     except BaseException:
