@@ -27,13 +27,15 @@ padding rule of both kernels; it emits 0 here, so no lane's max shift is the
 NaN of -inf - -inf.  The per-state edge lists the graph also keeps are read
 only by the benchmark harness, which counts the graph's edges from them.
 
-`crf_batch_loss` scores a batch of utterances in one call of each kernel:
-CTC's batched lattice kernel, `ctc_label_counts`, for the numerator and
-`denominator_forward_backward` for the denominator; `crf_loss` is its batch
-of one.  The numerator keeps CTC's exact logaddexp lattice: the shift flushes
-states over ~745 nats below the frame's best to zero, and in a label lattice
-such a state may be the only one still able to reach the last label (at
-logit scale 400, a shifted product got about half of random lattices wrong).
+The graph is the loss: it keeps the PhoneLM it composes, which scores the
+references, and `crf_batch_loss` scores a batch of utterances under it in
+one call of each kernel: CTC's batched lattice kernel, `ctc_label_counts`,
+for the numerator and `denominator_forward_backward` for the denominator;
+`crf_loss` is its batch of one.  The numerator keeps CTC's exact logaddexp
+lattice: the shift flushes states over ~745 nats below the frame's best to
+zero, and in a label lattice such a state may be the only one still able to
+reach the last label (at logit scale 400, a shifted product got about half
+of random lattices wrong).
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ class DenominatorGraph:
     `trans[i, j]` is exp(log-weight of the edge i -> j), 0 where there is no
     edge; the forward-backward reads only this matrix.  `incoming` lists the
     same edges per target state; nothing in the package reads it, but the
-    benchmark harness counts the graph's edges from it.
+    benchmark harness counts the graph's edges from it.  `lm` is the PhoneLM
+    composed, None where every label sequence weighs 1.
     """
 
     states: np.ndarray  # S x 2: (context row, unit)
@@ -73,6 +76,7 @@ class DenominatorGraph:
     incoming: list[tuple[np.ndarray, np.ndarray]]
     init_logw: np.ndarray  # per-state initial weight (excl. emission score)
     final_logw: np.ndarray  # per-state end-of-sequence weight
+    lm: PhoneLM | None
 
 
 def build_denominator_graph(n_units: int, lm: PhoneLM | None) -> DenominatorGraph:
@@ -105,6 +109,7 @@ def build_denominator_graph(n_units: int, lm: PhoneLM | None) -> DenominatorGrap
         # the first frame leaves the start context, row 0, by a blank or a label
         init_logw=np.where(u == BLANK, np.where(c == 0, 0.0, -np.inf), log_cont[0] + log_next[0, u]),
         final_logw=log_stop[c],
+        lm=lm,
     )
 
 
@@ -176,26 +181,27 @@ def crf_loss(
     lm: PhoneLM | None,
     graph: DenominatorGraph | None = None,
 ) -> CtcResult:
-    """CTC-CRF negative log-likelihood and exact gradient w.r.t. the logits."""
+    """CTC-CRF negative log-likelihood and exact gradient w.r.t. the logits,
+    under `graph`, by default `build_denominator_graph(Z.shape[1], lm)`."""
     labels = list(labels)
     check_labels(labels, *Z.shape)
-    nll, dZ = crf_batch_loss(Z, [len(Z)], [labels], lm, graph)
+    if graph is None:
+        graph = build_denominator_graph(Z.shape[1], lm)
+    nll, dZ = crf_batch_loss(Z, [len(Z)], [labels], graph)
     return CtcResult(nll=float(nll[0]), dZ=dZ)
 
 
-def crf_batch_loss(Z: np.ndarray, lengths, labels, lm: PhoneLM | None,
-                   graph: DenominatorGraph | None = None, backward: bool = True):
+def crf_batch_loss(Z: np.ndarray, lengths, labels, graph: DenominatorGraph, backward: bool = True):
     """(nll per utterance, dL/dZ or None) for utterances whose logits are
     stacked in Z, lengths[b] rows each; the labels are taken as feasible.
 
-    The numerator is one `ctc_label_counts` call and the denominator one
-    `denominator_forward_backward` call over the same stacked log-posteriors.
+    The numerator is one `ctc_label_counts` call and the references' scores
+    under `graph.lm`, the denominator one `denominator_forward_backward` call
+    over the same stacked log-posteriors.
     """
-    if graph is None:
-        graph = build_denominator_graph(Z.shape[1], lm)
     logy = log_posteriors(Z)
     num_loglik, num_counts = ctc_label_counts(logy, lengths, labels, backward)
-    lm_score = np.array([lm.score(lab) for lab in labels]) if lm is not None else 0.0
+    lm_score = np.array([graph.lm.score(lab) for lab in labels]) if graph.lm is not None else 0.0
 
     logden, den_counts = denominator_forward_backward(graph, logy, lengths, backward)
     nll = -(lm_score + num_loglik) + logden

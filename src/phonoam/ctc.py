@@ -121,15 +121,17 @@ def ctc_label_counts(logy: np.ndarray, lengths, labels, backward: bool = True):
     S = 2 * L + 1
     n, N = logy.shape
 
-    # each lane's units, pad unit N past its own states: the forward lanes, then the reversed ones
-    utt = np.repeat(np.arange(B), L)
+    # each lane's units, pad unit N past its own states: the forward lanes,
+    # then the reversed ones, which read the forward unit at the mirrored state
+    b = np.arange(B)
+    utt = np.repeat(b, L)
     pos = np.arange(len(utt)) - np.repeat(np.cumsum(L) - L, L)
-    flat = np.concatenate(labels)
-    aug = np.tile(np.where(np.arange(S.max()) < S[:, None], BLANK, N), (2 if backward else 1, 1))
-    aug[utt, 2 * pos + 1] = flat
+    width = S.max()
+    aug = np.where(np.arange(width) < S[:, None], BLANK, N)
+    aug[utt, 2 * pos + 1] = np.concatenate(labels)
+    mirror = S[:, None] - 1 - np.arange(width)
     if backward:
-        aug[B + utt, 2 * (L[utt] - pos) - 1] = flat
-    lanes, width = aug.shape
+        aug = np.concatenate([aug, np.where(mirror >= 0, aug[b[:, None], mirror], N)])
 
     # the pad row and unit emit -inf, so padding stays -inf, logaddexp's cheap case
     padded = np.full((n + 1, N + 1), -np.inf)
@@ -146,7 +148,7 @@ def ctc_label_counts(logy: np.ndarray, lengths, labels, backward: bool = True):
     pre = np.empty(em.shape)
     pre[0] = -np.inf
     pre[0, :, :2] = 0.0
-    buf = np.full((lanes, width + 2), -np.inf)  # two -inf columns ahead of the states
+    buf = np.full((len(aug), width + 2), -np.inf)  # two -inf columns ahead of the states
     stay, move, jump = buf[:, 2:], buf[:, 1:-1], buf[:, :-2]
     np.add(pre[0], em[0], out=stay)
     for f in range(1, len(pre)):
@@ -155,7 +157,6 @@ def ctc_label_counts(logy: np.ndarray, lengths, labels, backward: bool = True):
         np.logaddexp(p, jump, out=p, where=ok)
         np.add(p, em[f], out=stay)
 
-    b = np.arange(B)
     end = pre[T - 1, b] + em[T - 1, b]  # each utterance's last frame, after its emission
     loglik = np.logaddexp(end[b, S - 1], end[b, S - 2])
     if not backward:
@@ -166,7 +167,7 @@ def ctc_label_counts(logy: np.ndarray, lengths, labels, backward: bool = True):
     # it adds 0 (NaN in an infeasible lane) to the pad row or unit
     t = np.arange(len(rows))[:, None, None]
     la = pre[:, :B] + em[:, :B]
-    lb = pre[T[:, None] - 1 - t, B + b[:, None], S[:, None] - 1 - np.arange(width)]
+    lb = pre[T[:, None] - 1 - t, B + b[:, None], mirror]
     with np.errstate(invalid="ignore"):
         gamma = np.exp(la + lb - loglik[:, None])
     return loglik, scatter_counts(rows[:, :B, None], aug[:B], gamma, logy.shape)

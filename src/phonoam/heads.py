@@ -74,15 +74,6 @@ def logits(E: np.ndarray, H_seq: np.ndarray) -> np.ndarray:
     return H_seq @ E.T
 
 
-def posteriors(Z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction."""
-    if not np.isfinite(Z).all():
-        raise NonFiniteInput("logits contain non-finite entries")
-    shifted = Z - Z.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=-1, keepdims=True)
-
-
 def log_posteriors(Z: np.ndarray) -> np.ndarray:
     if not np.isfinite(Z).all():
         raise NonFiniteInput("logits contain non-finite entries")

@@ -17,9 +17,10 @@ with `embeddings(model)` and passes that (E, head cache) pair to
 encoder forward over the batch's stacked frames (each utterance spliced
 within its own frames), one logits product, one `batch_loss` call (one
 `log_posteriors` and one call of the CTC lattice kernel, plus one of the
-CTC-CRF denominator kernel under that loss), one encoder backward and one head
-backward, so the gradients are summed over the batch inside the matmuls.
-`model_loss_and_grads` is the batch of one.
+CTC-CRF denominator kernel when given a denominator graph), one encoder
+backward and one head backward, so the gradients are summed over the batch
+inside the matmuls.  `model_loss_and_grads` is the batch of one, and the one
+function that reads a loss name.
 """
 
 from __future__ import annotations
@@ -175,25 +176,16 @@ def model_forward(
     return Z, {"enc": enc_cache, "H_seq": H_seq, "E": E, "head": head_cache}
 
 
-def batch_loss(Z, lengths, labels, loss: str = "ctc", lm: PhoneLM | None = None,
-               graph: DenominatorGraph | None = None, backward: bool = True):
+def batch_loss(Z, lengths, labels, graph: DenominatorGraph | None = None, backward: bool = True):
     """(nll per utterance, dL/dZ stacked as the logits Z are, or None without
-    `backward`) in one lattice-kernel call; Z stacks the logits of utterances
-    of these lengths, whose labels are taken as feasible."""
-    if loss == "ctc":
+    `backward`), CTC without a graph and CTC-CRF under it; Z stacks the logits
+    of utterances of these lengths, whose labels are taken as feasible."""
+    if graph is None:
         return ctc_mod.ctc_batch_loss(Z, lengths, labels, backward)
-    if loss == "ctc_crf":
-        return crf_mod.crf_batch_loss(Z, lengths, labels, lm, graph, backward)
-    raise ValueError(f"unknown loss {loss!r}")
+    return crf_mod.crf_batch_loss(Z, lengths, labels, graph, backward)
 
 
-def batch_loss_and_grads(
-    model: AcousticModel,
-    batch,
-    loss: str = "ctc",
-    lm: PhoneLM | None = None,
-    graph: DenominatorGraph | None = None,
-):
+def batch_loss_and_grads(model: AcousticModel, batch, graph: DenominatorGraph | None = None):
     """A batch of (frames, labels) pairs with feasible labels: (nll per
     utterance, exact analytic gradients summed over the batch).
 
@@ -203,7 +195,7 @@ def batch_loss_and_grads(
     frames, labels = zip(*batch)
     lengths = [len(x) for x in frames]
     Z, cache = model_forward(model, np.concatenate(frames), lengths=lengths)
-    nll, dZ = batch_loss(Z, lengths, labels, loss, lm, graph)
+    nll, dZ = batch_loss(Z, lengths, labels, graph)
     grads = (encoder_backward(model.encoder_config, model.params, cache["enc"], dZ @ cache["E"])
              | head_backward(model.head, model.params, model.P, cache["head"], dZ.T @ cache["H_seq"]))
     # in the model's order, the order the global gradient norm sums in
@@ -220,9 +212,17 @@ def model_loss_and_grads(
 ):
     """One utterance, the batch of one: (nll, grads dict).
 
-    InfeasibleLength unless the labels fit the frames.
+    Loss "ctc_crf" scores under `graph`, built from `lm` when not given; a
+    loss name other than it and "ctc" raises ValueError.  InfeasibleLength
+    unless the labels fit the frames.
     """
     labels = list(labels)
     check_labels(labels, len(frames), model.n_units)
-    nll, grads = batch_loss_and_grads(model, [(frames, labels)], loss, lm, graph)
+    if loss == "ctc":
+        graph = None
+    elif loss != "ctc_crf":
+        raise ValueError(f"unknown loss {loss!r}")
+    elif graph is None:
+        graph = crf_mod.build_denominator_graph(model.n_units, lm)
+    nll, grads = batch_loss_and_grads(model, [(frames, labels)], graph)
     return nll[0], grads

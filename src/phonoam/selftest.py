@@ -12,13 +12,13 @@ import numpy as np
 
 from .crf import build_denominator_graph, crf_loss, denominator_forward_backward
 from .ctc import collapse, ctc_loss
-from .heads import log_posteriors, posteriors
+from .heads import log_posteriors
 from .lm import PhoneLM, train_phone_lm
 
 
 def brute_force_ctc(Z: np.ndarray, labels) -> float:
     """log p(l|x) by explicit enumeration of all N^T frame paths."""
-    y = posteriors(Z)
+    y = np.exp(log_posteriors(Z))
     T, N = Z.shape
     target = list(labels)
     total = 0.0
@@ -33,7 +33,7 @@ def brute_force_ctc(Z: np.ndarray, labels) -> float:
 
 def brute_force_crf_denominator(Z: np.ndarray, lm: PhoneLM | None) -> float:
     """log sum over ALL paths of p(B(path)) * prod_t y[t, path_t]."""
-    y = posteriors(Z)
+    y = np.exp(log_posteriors(Z))
     T, N = Z.shape
     total = 0.0
     for path in itertools.product(range(N), repeat=T):

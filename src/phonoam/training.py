@@ -7,9 +7,10 @@ dev loss is NaN (every dev utterance infeasible) leaves the schedule as is.
 
 Each optimizer step is one `batch_loss_and_grads` call, which runs the whole
 batch as one stacked pass: one forward, one loss-kernel call and one
-backward.  A batch whose loss or gradient norm before clipping is not finite
-takes no step: its utterances count as skipped, and neither Adam's state nor
-the epoch's train loss sees it.  Each epoch's dev pass forwards the dev
+backward, under the denominator graph `train` builds (None for CTC).  A
+batch whose loss or gradient norm before clipping is not finite takes no
+step: its utterances count as skipped, and neither Adam's state nor the
+epoch's train loss sees it.  Each epoch's dev pass forwards the dev
 utterances `batch_size` at a time, one stacked forward per chunk, so each
 utterance once: it decodes each for PER by `evaluate`'s charging rule and
 scores the loss of the feasible ones with the forward recursion alone, so it
@@ -160,14 +161,14 @@ def _labelled(utts, index: dict[str, int], n_units: int) -> list[tuple[Utterance
     return pairs
 
 
-def _dev_pass(model, dev, config: TrainConfig, lm, graph) -> tuple[float, float]:
+def _dev_pass(model, dev, batch_size: int, graph) -> tuple[float, float]:
     """(mean loss of the feasible utterances, PER of all of them), forwarding
     each (utterance, labels or None) pair once, batch_size at a time."""
     emb = embeddings(model)
     result = EvalResult()
     losses = []
-    for start in range(0, len(dev), config.batch_size):
-        chunk = dev[start : start + config.batch_size]
+    for start in range(0, len(dev), batch_size):
+        chunk = dev[start : start + batch_size]
         lengths = [len(utt.frames) for utt, _ in chunk]
         Z, _ = model_forward(model, np.concatenate([utt.frames for utt, _ in chunk]), emb, lengths)
         Zs = np.split(Z, np.cumsum(lengths)[:-1])
@@ -176,8 +177,7 @@ def _dev_pass(model, dev, config: TrainConfig, lm, graph) -> tuple[float, float]
         scored = [(Z, labels) for Z, (_, labels) in zip(Zs, chunk) if labels is not None]
         if scored:
             Zs, labels = zip(*scored)
-            nll, _ = batch_loss(np.concatenate(Zs), [len(Z) for Z in Zs], labels, config.loss, lm, graph,
-                                backward=False)
+            nll, _ = batch_loss(np.concatenate(Zs), [len(Z) for Z in Zs], labels, graph, backward=False)
             losses.extend(nll)
     return (float(np.mean(losses)) if losses else float("nan")), result.per
 
@@ -191,9 +191,10 @@ def train(
     """Optimize the model in place from a fresh Adam state; returns the per-epoch report.
 
     With loss "ctc_crf", a label n-gram LM is estimated from the training
-    transcripts (order from the config).  InventoryMismatch if a training or
-    dev utterance holds a phone the model lacks, DimensionMismatch if one's
-    frames are not as wide as the encoder's input.
+    transcripts (order from the config) and composed, once, into the
+    denominator graph that every step scores under.  InventoryMismatch if a
+    training or dev utterance holds a phone the model lacks,
+    DimensionMismatch if one's frames are not as wide as the encoder's input.
     """
     if not train_set:
         raise EmptyCorpus("no training utterances")
@@ -205,7 +206,7 @@ def train(
             raise DimensionMismatch(f"frames must be T x {width}, got {utt.frames.shape} ({utt.language_id})")
     report = TrainReport()
 
-    lm = graph = None
+    graph = None
     if config.loss == "ctc_crf":
         # every transcript counts, feasible or not: an empty one is a stop at the start
         lm = train_phone_lm(
@@ -229,7 +230,7 @@ def train(
 
     # dev loss and PER of the untouched initialization, recorded before any update
     dev = _labelled(dev_set, index, model.n_units) if dev_set else usable
-    dev_loss, dev_per = _dev_pass(model, dev, config, lm, graph)
+    dev_loss, dev_per = _dev_pass(model, dev, config.batch_size, graph)
     report.dev_loss.append(dev_loss)
     report.dev_per.append(dev_per)
     report.lr.append(lr)
@@ -239,9 +240,7 @@ def train(
         epoch_losses = []
         for start in range(0, len(usable), config.batch_size):
             batch = [usable[i] for i in order[start : start + config.batch_size]]
-            nll, acc = batch_loss_and_grads(
-                model, [(utt.frames, labels) for utt, labels in batch], config.loss, lm, graph
-            )
+            nll, acc = batch_loss_and_grads(model, [(utt.frames, labels) for utt, labels in batch], graph)
             acc = {k: g / len(batch) for k, g in acc.items()}
             norm = math.sqrt(sum(float((g * g).sum()) for g in acc.values()))
             if not (math.isfinite(norm) and np.isfinite(nll).all()):
@@ -253,7 +252,7 @@ def train(
             adam_step(params, acc, adam, lr)
 
         report.train_loss.append(float(np.mean(epoch_losses)) if epoch_losses else float("nan"))
-        dev_loss, dev_per = _dev_pass(model, dev, config, lm, graph)
+        dev_loss, dev_per = _dev_pass(model, dev, config.batch_size, graph)
         report.dev_loss.append(dev_loss)
         report.dev_per.append(dev_per)
         report.lr.append(lr)

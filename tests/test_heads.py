@@ -7,8 +7,8 @@ from phonoam.heads import (
     compute_embeddings,
     head_backward,
     head_shapes,
+    log_posteriors,
     logits,
-    posteriors,
     sigmoid,
 )
 from phonoam.model import glorot_params
@@ -31,7 +31,7 @@ class TestComputeEmbeddings:
         assert np.all(E == 0) and cache is None
         # all-zero embeddings give uniform posteriors downstream
         Z = logits(E, RNG.normal(size=(3, 4)))
-        assert np.allclose(posteriors(Z), 0.2)
+        assert np.allclose(np.exp(log_posteriors(Z)), 0.2)
 
     def test_linear_hand_arithmetic(self):
         p = np.zeros(VECTOR_BITS)
@@ -125,18 +125,18 @@ class TestLogits:
 
 class TestPosteriors:
     def test_symmetric(self):
-        assert np.allclose(posteriors(np.array([[0.0, 0.0]])), 0.5)
+        assert np.allclose(np.exp(log_posteriors(np.array([[0.0, 0.0]]))), 0.5)
 
     def test_shift_invariant(self):
         Z = RNG.normal(size=(4, 5))
-        assert np.allclose(posteriors(Z), posteriors(Z + 123.0), atol=1e-12)
+        assert np.allclose(np.exp(log_posteriors(Z)), np.exp(log_posteriors(Z + 123.0)), atol=1e-12)
 
     def test_analytic(self):
         Z = np.log(np.array([[1.0, 3.0]]))
-        assert np.allclose(posteriors(Z), [[0.25, 0.75]])
+        assert np.allclose(np.exp(log_posteriors(Z)), [[0.25, 0.75]])
 
     def test_rows_sum_to_one(self):
-        Y = posteriors(RNG.normal(size=(10, 7)) * 30)
+        Y = np.exp(log_posteriors(RNG.normal(size=(10, 7)) * 30))
         assert np.allclose(Y.sum(axis=1), 1.0, atol=1e-12)
 
 

@@ -13,7 +13,7 @@ from phonoam.crf import (
 )
 from phonoam.ctc import collapse, ctc_loss
 from phonoam.errors import EmptyCorpus
-from phonoam.heads import log_posteriors, posteriors
+from phonoam.heads import log_posteriors
 from phonoam.lm import train_phone_lm
 from phonoam.selftest import (
     brute_force_crf_denominator,
@@ -99,7 +99,7 @@ class TestReduction:
 
 def brute_force_occupancy(Z, lm):
     """Per-frame unit occupancy under the CRF, by enumerating all frame paths."""
-    y = posteriors(Z)
+    y = np.exp(log_posteriors(Z))
     T, N = Z.shape
     counts = np.zeros((T, N))
     for path in itertools.product(range(N), repeat=T):
@@ -334,6 +334,18 @@ class TestCrfLoss:
         fd = finite_difference(lambda z: crf_loss(z, labels, lm).nll, Z)
         assert max_rel_err(fd, crf_loss(Z, labels, lm).dZ, floor=1e-8) < 1e-4
 
+    @pytest.mark.parametrize("order", [None, 1, 2])
+    def test_the_graph_carries_the_lm_it_composes(self, order):
+        # crf_batch_loss scores the references by graph.lm: no LM argument
+        N = 4
+        Z, labels = RNG.normal(0.0, 2.0, size=(5, N)), [1, 3, 3]
+        lm = None if order is None else train_phone_lm([labels, [2]], order=order, smoothing=1.0, vocab=range(1, N))
+        graph = build_denominator_graph(N, lm)
+        assert graph.lm is lm
+        nll, dZ = crf_batch_loss(Z, [len(Z)], [labels], graph)
+        res = crf_loss(Z, labels, lm)
+        assert nll[0] == res.nll and np.array_equal(dZ, res.dZ)
+
     @pytest.mark.parametrize("backward", [True, False])
     def test_one_denominator_call_per_batch(self, monkeypatch, backward):
         calls = []
@@ -347,7 +359,7 @@ class TestCrfLoss:
         Z = RNG.normal(0.0, 2.0, size=(sum(lengths), N))
         labels = [[1, 2], [3], [4, 4, 1], [2], [1, 3, 2]]
         lm = train_phone_lm(labels, order=2, smoothing=1.0, vocab=range(1, N))
-        nll, _ = crf_batch_loss(Z, lengths, labels, lm, backward=backward)
+        nll, _ = crf_batch_loss(Z, lengths, labels, build_denominator_graph(N, lm), backward=backward)
         assert calls == [Z.shape] and nll.shape == (len(lengths),)
 
     def test_no_lm_gradient_equals_ctc(self):

@@ -1,7 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from phonoam import training
 from phonoam.corpus import make_emission_map, generate_language, SynthLanguageSpec
+from phonoam.crf import build_denominator_graph, crf_batch_loss
 from phonoam.encoder import EncoderConfig
 from phonoam.errors import DimensionMismatch, DuplicatePhone, ModeHeadMismatch
 from phonoam.features import SpecialToken, builtin_table, encode_inventory
@@ -10,6 +14,7 @@ from phonoam.inventory import LanguageInventory, merge_inventories
 from phonoam.lm import train_phone_lm
 from phonoam.model import (
     batch_loss,
+    batch_loss_and_grads,
     build_model,
     embeddings,
     extend_model,
@@ -91,17 +96,27 @@ def test_given_embeddings_change_no_bit(head, loss):
     model, ps = tiny_model(head)
     frames = RNG.normal(size=(5, 3))
     labels = [3, 4]
-    lm = None
+    graph = None
     if loss == "ctc_crf":
         lm = train_phone_lm([labels, [3]], order=2, smoothing=1.0, vocab=range(1, len(ps.units)))
+        graph = build_denominator_graph(len(ps.units), lm)
     Z, cache = model_forward(model, frames)
     given_Z, given_cache = model_forward(model, frames, embeddings(model))
     assert np.array_equal(given_Z, Z)
     assert same_bits(given_cache, cache)
     # and so is the loss scored from them, as the dev pass scores it
-    nll, dZ = batch_loss(Z, [5], [labels], loss, lm)
-    given_nll, given_dZ = batch_loss(given_Z, [5], [labels], loss, lm)
+    nll, dZ = batch_loss(Z, [5], [labels], graph)
+    given_nll, given_dZ = batch_loss(given_Z, [5], [labels], graph)
     assert np.array_equal(given_nll, nll) and np.array_equal(given_dZ, dZ)
+
+
+def test_only_model_loss_and_grads_reads_a_loss_name():
+    model, _ = tiny_model()
+    with pytest.raises(ValueError, match="'ctc-crf'"):
+        model_loss_and_grads(model, RNG.normal(size=(5, 3)), [3, 4], "ctc-crf")
+    # below it the loss is a denominator graph, None for CTC
+    for f in (batch_loss, batch_loss_and_grads, crf_batch_loss, training._dev_pass):
+        assert not {"loss", "lm"} & set(inspect.signature(f).parameters), f.__name__
 
 
 def same_bits(a, b) -> bool:

@@ -320,7 +320,7 @@ def test_batch_step_matches_the_per_utterance_gradients(head, loss):
     if loss == "ctc_crf":
         lm = train_phone_lm([labels for _, labels in batch], order=2, vocab=range(1, model.n_units))
         graph = build_denominator_graph(model.n_units, lm)
-    nll, grads = model_mod.batch_loss_and_grads(model, batch, loss, lm, graph)
+    nll, grads = model_mod.batch_loss_and_grads(model, batch, graph)
     # the per-utterance step written out: forward, loss, backward through the
     # encoder and the head, each utterance's gradients added to zeros in order
     acc = {k: np.zeros_like(p) for k, p in model_params(model).items()}
