@@ -11,8 +11,10 @@ then one `--trace 1` run of TRACE_SECONDS per side for the exact per-layer
 counts.  It writes BENCH_<commit>.json at the root of this checkout (commit =
 the short hash of its HEAD, `-dirty` when the tree has uncommitted changes):
 the machine record, every run's metrics, each end-to-end metric's median and
-interquartile range per side, and how many pairs each side won.  A workload
-with no pair of two complete runs gets a null summary; a workload that
+interquartile range per side, how many pairs each side won, and two verdicts:
+`gain` (won at least 9 in 10 pairs, median better by more than the parent's
+IQR) and `past_bound` (median worse by more than BENCHMARK.json's bound).  A
+workload with no pair of two complete runs gets a null summary; a workload that
 BENCHMARK.json does not name stops the script before any run, with exit 1.
 """
 
@@ -39,12 +41,18 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs: list[dict[str, dict[str, float]]], better: dict[str, str]) -> dict[str, dict]:
-    """Per metric: each side's median, quartiles and IQR, and the pairs each side won.
+def summarize(pairs: list[dict[str, dict[str, float]]], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict[str, dict]:
+    """Per metric: each side's median, quartiles and IQR, the pairs each side won, and the verdicts.
 
     pairs[i] maps side -> {metric: value}; better maps metric -> "lower" or
-    "higher".  A pair with equal values is a tie and counts for neither side.
-    `change_vs_parent` is the change's median over the parent's, minus one.
+    "higher"; bounds maps metric -> the share of the parent's median by which
+    the change's may be worse.  A pair with equal values is a tie and counts
+    for neither side.  `change_vs_parent` is the change's median over the
+    parent's, minus one.  `gain`: the change won at least 9 in 10 of the pairs
+    and its median beats the parent's by more than the parent's IQR.
+    `past_bound`: the change's median is worse than the parent's by more than
+    the bound (None for a metric without one).
     """
     out = {}
     for metric, direction in better.items():
@@ -60,6 +68,10 @@ def summarize(pairs: list[dict[str, dict[str, float]]], better: dict[str, str]) 
         entry["parent_won"] = sum(w < 0 for w in wins)
         base = entry["parent"]["median"]
         entry["change_vs_parent"] = entry["change"]["median"] / base - 1 if base else None
+        worse = sign * (entry["change"]["median"] - base)
+        entry["gain"] = 10 * entry["change_won"] >= 9 * len(pairs) and -worse > entry["parent"]["iqr"]
+        bound = (bounds or {}).get(metric)
+        entry["past_bound"] = None if bound is None else worse > bound * abs(base)
         out[metric] = entry
     return out
 
@@ -116,6 +128,7 @@ def main(argv=None) -> int:
         return 1
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     commit = _git("rev-parse", "--short", "HEAD") + ("-dirty" if _git("status", "--porcelain", "--untracked-files=no") else "")
     out_path = ROOT / f"BENCH_{commit}.json"
 
@@ -143,7 +156,7 @@ def main(argv=None) -> int:
             traced = {side: run_side(roots[side], workload, args.seed, TRACE_SECONDS, 1)[1] for side in SIDES}
             doc["workloads"][workload] = {
                 "runs": runs,
-                "summary": summarize(pairs, better) if pairs else None,
+                "summary": summarize(pairs, better, bounds) if pairs else None,
                 "failed": {side: sum(r.get("failed", 1) for r in runs if r["side"] == side) for side in SIDES},
                 "traced": traced,
             }
@@ -155,7 +168,8 @@ def main(argv=None) -> int:
         for metric, s in (entry["summary"] or {}).items():
             print(f"{workload:13s} {metric:12s} parent {s['parent']['median']:.4g} (IQR {s['parent']['iqr']:.3g})"
                   f"  change {s['change']['median']:.4g} (IQR {s['change']['iqr']:.3g})"
-                  f"  won {s['change_won']}/{s['pairs']}")
+                  f"  won {s['change_won']}/{s['pairs']}  gain {'yes' if s['gain'] else 'no'}"
+                  f"  past bound {'yes' if s['past_bound'] else 'no'}")
     return 0
 
 

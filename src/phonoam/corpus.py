@@ -10,6 +10,7 @@ phonology-driven embedding head can exploit and a flat head cannot.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass
@@ -98,7 +99,8 @@ def generate_language(
 
 def save_corpus(utterances: list[Utterance], path) -> None:
     """Write a corpus as JSON lines: a symbol-table header, then one record
-    per utterance with label indices and row-major float64 frames."""
+    per utterance with label indices, the frame width `dim` and the frames as
+    one base64 string of their little-endian float64 values in row-major order."""
     symbols = sorted({p for u in utterances for p in u.phones})
     index = {p: i for i, p in enumerate(symbols)}
     with io_failure(), replace_on_success(path, "w", encoding="utf-8") as fh:
@@ -107,7 +109,8 @@ def save_corpus(utterances: list[Utterance], path) -> None:
             rec = {
                 "language": u.language_id,
                 "labels": [index[p] for p in u.phones],
-                "frames": u.frames.tolist(),
+                "dim": u.frames.shape[1],
+                "frames": base64.b64encode(np.asarray(u.frames, "<f8").tobytes()).decode("ascii"),
             }
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
@@ -129,13 +132,37 @@ def _utterance(rec: dict, symbols: list[str], where: str) -> Utterance:
     # JSON integers load as int exactly, so bools and floats are refused
     if not (isinstance(labels, list) and all(type(i) is int and 0 <= i < len(symbols) for i in labels)):
         raise IoFailure(f"{where}: 'labels' must be a list of symbol indices in [0, {len(symbols)})")
-    try:
-        frames = np.array(rec.get("frames"), dtype=np.float64)
-    except (ValueError, TypeError, OverflowError):  # OverflowError: an integer beyond float range
-        frames = None
+    raw = rec.get("frames")
+    frames = _packed_frames(rec.get("dim"), raw, where) if isinstance(raw, str) else _listed_frames(raw)
     if frames is None or frames.ndim != 2 or frames.size == 0 or not np.isfinite(frames).all():
-        raise IoFailure(f"{where}: 'frames' must be a non-empty list of equal-length rows of finite numbers")
+        raise IoFailure(f"{where}: 'frames' must be non-empty, equal-length rows of finite numbers")
     return Utterance(frames=frames, phones=tuple(symbols[i] for i in labels), language_id=language)
+
+
+def _packed_frames(dim, raw: str, where: str) -> np.ndarray:
+    """The T x dim array packed in a base64 string of little-endian float64 values."""
+    if type(dim) is not int or dim < 1:  # JSON true loads as a bool, an int subclass
+        raise IoFailure(f"{where}: 'dim' must be a positive integer")
+    try:
+        data = base64.b64decode(raw, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise IoFailure(f"{where}: 'frames' is not base64 ({exc})") from exc
+    # the decoded bytes are no longer than the line; the array is drawn only if they fit dim
+    if not data or len(data) % (8 * dim):
+        raise IoFailure(f"{where}: 'frames' holds {len(data)} bytes, not a positive multiple of 8 x {dim}")
+    return np.frombuffer(data, "<f8").reshape(-1, dim).astype(np.float64)
+
+
+def _listed_frames(raw) -> np.ndarray | None:
+    """The array of a list of rows of JSON numbers, or None if raw is not one."""
+    # JSON numbers load as int or float exactly; bools and numeric strings are refused
+    if not (isinstance(raw, list) and all(isinstance(row, list) and all(type(v) in (int, float) for v in row)
+                                          for row in raw)):
+        return None
+    try:
+        return np.array(raw, dtype=np.float64)
+    except (ValueError, OverflowError):  # ragged rows; an integer beyond float range
+        return None
 
 
 def load_corpus(path) -> list[Utterance]:

@@ -40,6 +40,35 @@ def test_summary_of_one_pair_has_zero_iqr(bench_pair):
     assert summary["m"]["change_won"] == 1
 
 
+def verdicts(bench_pair, parent, change, better="lower", bound=0.25):
+    pairs = [{"parent": {"m": p}, "change": {"m": c}} for p, c in zip(parent, change)]
+    s = bench_pair.summarize(pairs, {"m": better}, {"m": bound})["m"]
+    return s["change_won"], s["gain"], s["past_bound"]
+
+
+PARENT = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]  # median 14.5, IQR 4.5
+
+
+def test_gain_needs_nine_of_ten_pairs_and_the_parents_iqr(bench_pair):
+    # 9 of 10 won, median 14.5 -> 9.5: 5 better, past the IQR of 4.5
+    assert verdicts(bench_pair, PARENT, [p - 5 for p in PARENT[:9]] + [20.0]) == (9, True, False)
+    # 8 of 10 won: no gain, however far the median moves
+    assert verdicts(bench_pair, PARENT, [p - 9 for p in PARENT[:8]] + [20.0, 20.0]) == (8, False, False)
+    # 10 of 10 won, but by 4 each, inside the IQR
+    assert verdicts(bench_pair, PARENT, [p - 4 for p in PARENT]) == (10, False, False)
+    # higher is better: the same rule, mirrored
+    assert verdicts(bench_pair, PARENT, [p + 5 for p in PARENT], better="higher") == (10, True, False)
+
+
+def test_past_bound_against_the_parents_median(bench_pair):
+    # 30% worse against a 0.25 bound; 20% worse is inside it
+    assert verdicts(bench_pair, PARENT, [p * 1.3 for p in PARENT]) == (0, False, True)
+    assert verdicts(bench_pair, PARENT, [p * 1.2 for p in PARENT]) == (0, False, False)
+    assert verdicts(bench_pair, PARENT, [p * 0.7 for p in PARENT], better="higher") == (0, False, True)
+    pairs = [{"parent": {"m": 1.0}, "change": {"m": 2.0}}]
+    assert bench_pair.summarize(pairs, {"m": "lower"})["m"]["past_bound"] is None  # no bound given
+
+
 def test_pairs_argument(bench_pair):
     assert bench_pair._pairs_arg("ctc_pipeline=10") == ("ctc_pipeline", 10)
     with pytest.raises(Exception):
@@ -73,7 +102,8 @@ def test_workload_without_a_complete_pair_keeps_the_others(bench_pair, monkeypat
     monkeypatch.setattr(bench_pair, "run_side", run_side)
     assert bench_pair.main(["--parent", "HEAD", "--pairs", "ctc_pipeline=2", "long_eval=2"]) == 0
     doc = json.loads((tmp_path / "BENCH_abc1234.json").read_text())
-    assert doc["workloads"]["ctc_pipeline"]["summary"]["wall_s"]["pairs"] == 2
+    wall = doc["workloads"]["ctc_pipeline"]["summary"]["wall_s"]
+    assert wall["pairs"] == 2 and (wall["gain"], wall["past_bound"]) == (False, False)
     long_eval = doc["workloads"]["long_eval"]
     assert long_eval["summary"] is None
     assert len(long_eval["runs"]) == 4 and long_eval["failed"] == {"parent": 2, "change": 0}

@@ -1,4 +1,5 @@
 import argparse
+import base64
 import io
 import json
 import os
@@ -446,16 +447,17 @@ def test_wide_head_refused_before_it_is_drawn(nonlinear, workdir, capsys):
 @given(data=st.data())
 def test_retyped_corpus_exits_0_or_2(data, trained, workdir):
     """A corpus whose header `symbols`, or one utterance's `language`, `labels`,
-    `frames` or frame row, is any JSON value is read, or refused with exit 2."""
+    `dim`, packed `frames` or, in list form, frame row, is any JSON value is read,
+    or refused with exit 2."""
     header, *records = (json.loads(ln) for ln in (workdir / "L1.jsonl").read_text(encoding="utf-8").splitlines())
     value = data.draw(JSON_VALUES, label="value")
-    field = data.draw(st.sampled_from(["symbols", "language", "labels", "frames", "frame row"]), label="field")
+    field = data.draw(st.sampled_from(["symbols", "language", "labels", "dim", "frames", "frame row"]), label="field")
     if field == "symbols":
         header["symbols"] = value
     else:
         rec = records[data.draw(st.integers(0, len(records) - 1), label="utterance")]
         if field == "frame row":
-            rec["frames"][data.draw(st.integers(0, len(rec["frames"]) - 1), label="row")] = value
+            as_rows(rec)["frames"][data.draw(st.integers(0, len(rec["frames"]) - 1), label="row")] = value
         else:
             rec[field] = value
     bad = workdir / "retyped.jsonl"
@@ -523,13 +525,29 @@ def _corpus_lines(workdir):
     return header, json.loads(first), second
 
 
+def as_rows(rec: dict) -> dict:
+    """rec with its packed frames rewritten as a list of rows, the form other tools write."""
+    rec["frames"] = np.frombuffer(base64.b64decode(rec["frames"]), "<f8").reshape(-1, rec.pop("dim")).tolist()
+    return rec
+
+
+def packed(values, dim) -> dict:
+    return {"dim": dim, "frames": base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")}
+
+
 @pytest.mark.parametrize("case, line", [
     ("empty", 1), ("header_not_object", 1), ("no_symbols", 1), ("header_only", 2), ("bad_json", 3),
     ("label_out_of_range", 2), ("label_negative", 2), ("label_float", 2), ("ragged_frames", 2),
-    ("no_frames", 2), ("frame_dims_differ", 3), ("frame_beyond_float", 2),
+    ("no_frames", 2), ("frame_dims_differ", 3), ("frame_beyond_float", 2), ("frame_bool", 2),
+    ("frame_string", 2),
+    # packed frames
+    ("packed_not_base64", 2), ("packed_bytes_not_rows", 2), ("packed_dim_zero", 2), ("packed_dim_negative", 2),
+    ("packed_dim_true", 2), ("packed_dim_float", 2), ("packed_no_dim", 2), ("packed_nan", 2), ("packed_inf", 2),
+    ("packed_empty", 2), ("packed_dim_beyond_payload", 2), ("packed_dims_differ", 3),
 ])
 def test_eval_bad_corpus_exits_2(case, line, trained, workdir, capsys):
     header, rec, second = _corpus_lines(workdir)
+    values = np.frombuffer(base64.b64decode(rec["frames"]), "<f8").reshape(-1, rec["dim"])
     if case == "empty":
         lines = []
     elif case == "header_not_object":
@@ -541,16 +559,39 @@ def test_eval_bad_corpus_exits_2(case, line, trained, workdir, capsys):
     elif case == "bad_json":
         lines = [header, second, "{not json"]
     elif case == "frame_dims_differ":
+        rec = as_rows(rec)
         rec["frames"] = [row[:-1] for row in rec["frames"]]
         lines = [header, second, json.dumps(rec)]
+    elif case.startswith("packed_"):
+        rec.update({
+            "packed_not_base64": {"frames": "!" + rec["frames"][1:]},
+            "packed_bytes_not_rows": packed(values.ravel()[:-1], values.shape[1]),
+            "packed_dim_zero": {"dim": 0},
+            "packed_dim_negative": {"dim": -1},
+            "packed_dim_true": {"dim": True},
+            "packed_dim_float": {"dim": 1.5},
+            "packed_no_dim": {},  # deleted below
+            "packed_nan": packed(np.where(values == values[1, 2], np.nan, values), values.shape[1]),
+            "packed_inf": packed(np.where(values == values[0, 0], np.inf, values), values.shape[1]),
+            "packed_empty": {"frames": ""},
+            "packed_dim_beyond_payload": {"dim": 10**12},
+            "packed_dims_differ": packed(values[:, :-1], values.shape[1] - 1),
+        }[case])
+        if case == "packed_no_dim":
+            del rec["dim"]
+        lines = [header, second, json.dumps(rec)] if case == "packed_dims_differ" else [header, json.dumps(rec)]
     else:
+        as_rows(rec)
+        width = len(rec["frames"][0])
         rec.update({
             "label_out_of_range": {"labels": [len(json.loads(header)["symbols"])]},
             "label_negative": {"labels": [-1]},
             "label_float": {"labels": [1.0]},
             "ragged_frames": {"frames": [rec["frames"][0], rec["frames"][1][:-1]]},
             "no_frames": {"frames": []},
-            "frame_beyond_float": {"frames": [[10**400] * len(rec["frames"][0])]},  # json writes all digits
+            "frame_beyond_float": {"frames": [[10**400] * width]},  # json writes all digits
+            "frame_bool": {"frames": [[True] + [0.5] * (width - 1)]},
+            "frame_string": {"frames": [["1.5", " 2 "] + [0.5] * (width - 2)]},
         }[case])
         lines = [header, json.dumps(rec)]
     bad = workdir / f"bad_{case}.jsonl"
@@ -558,6 +599,20 @@ def test_eval_bad_corpus_exits_2(case, line, trained, workdir, capsys):
     code = main(["eval", "--checkpoint", str(trained), "--corpus", str(bad)])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {bad} line {line}: ")
+
+
+def test_eval_reads_both_frame_forms(trained, workdir, capsys):
+    """A corpus with its frames as lists of rows, as files written before packed frames,
+    loads to the same arrays and prints the same scores."""
+    header, *lines = (workdir / "L1.jsonl").read_text(encoding="utf-8").splitlines()
+    listed = workdir / "L1_rows.jsonl"
+    listed.write_text("".join(ln + "\n" for ln in [header, *(json.dumps(as_rows(json.loads(ln))) for ln in lines)]),
+                      encoding="utf-8")
+    for a, b in zip(load_corpus(workdir / "L1.jsonl"), load_corpus(listed)):
+        assert a.frames.tobytes() == b.frames.tobytes()
+    outs = [run(capsys, "eval", "--checkpoint", str(trained), "--corpus", str(path))
+            for path in (workdir / "L1.jsonl", listed)]
+    assert outs[0][0] == 0 and outs[0] == outs[1]
 
 
 def test_extend_mode_head_mismatch_exits_2(trained, workdir, capsys):

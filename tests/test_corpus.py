@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -129,15 +130,46 @@ def save_corpus_per_value(utterances, path):
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
-def test_save_corpus_writes_the_per_value_writers_bytes(tmp_path):
-    utts = generate_language(spec(), TABLE, make_emission_map(5, 2))
-    edge = np.array([
-        [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308],  # signed zeros, subnormals, smallest normal
-        [1e308, -1e308, 1.7976931348623157e308, 3.0, -2.0],  # near the float range, integer-valued
-        [1e16, 12345678901234567.0, 0.1, 1 / 3, 1e-7],
-    ])
-    utts.append(Utterance(frames=edge, phones=("d",), language_id="ɛdge"))
-    save_corpus(utts, tmp_path / "new.jsonl")
-    save_corpus_per_value(utts, tmp_path / "old.jsonl")
-    assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
+EDGE = np.array([
+    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308],  # signed zeros, subnormals, smallest normal
+    [1e308, -1e308, 1.7976931348623157e308, 3.0, -2.0],  # near the float range, integer-valued
+    [1e16, 12345678901234567.0, 0.1, 1 / 3, 1e-7],
+])
 
+
+def edge_corpus():
+    utts = generate_language(spec(), TABLE, make_emission_map(5, 2))
+    utts.append(Utterance(frames=EDGE, phones=("d",), language_id="ɛdge"))
+    # another layout and byte order of the same values are written as the same row-major float64
+    utts.append(Utterance(frames=np.asfortranarray(EDGE), phones=("d",), language_id="fortran"))
+    utts.append(Utterance(frames=EDGE.astype(">f8"), phones=("d",), language_id="big-endian"))
+    return utts
+
+
+def test_edge_frames_round_trip_bit_for_bit(tmp_path):
+    utts = edge_corpus()
+    save_corpus(utts, tmp_path / "corpus.jsonl")
+    loaded = load_corpus(tmp_path / "corpus.jsonl")
+    assert [u.language_id for u in loaded] == [u.language_id for u in utts]
+    for a, b in zip(utts, loaded):
+        assert b.frames.dtype == np.float64 and b.frames.flags.writeable
+        assert b.frames.shape == a.frames.shape
+        assert b.frames.tobytes() == np.asarray(a.frames, np.float64).tobytes()
+
+
+def test_frames_are_written_packed(tmp_path):
+    utts = edge_corpus()
+    save_corpus(utts, tmp_path / "corpus.jsonl")
+    records = [json.loads(ln) for ln in (tmp_path / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[1:]]
+    for u, rec in zip(utts, records):
+        assert rec["dim"] == u.frames.shape[1]
+        assert rec["frames"] == base64.b64encode(np.ascontiguousarray(u.frames, "<f8").tobytes()).decode("ascii")
+
+
+def test_a_per_value_writers_file_loads_to_the_same_bytes(tmp_path):
+    utts = edge_corpus()
+    save_corpus_per_value(utts, tmp_path / "old.jsonl")
+    loaded = load_corpus(tmp_path / "old.jsonl")
+    assert [u.phones for u in loaded] == [u.phones for u in utts]
+    for a, b in zip(utts, loaded):
+        assert b.frames.tobytes() == np.asarray(a.frames, np.float64).tobytes()
