@@ -10,8 +10,11 @@ side for BENCHMARK.json's `run_seconds`, alternating which side goes first,
 then one `--trace 1` run of TRACE_SECONDS per side for the exact per-layer
 counts.  It writes BENCH_<commit>.json at the root of this checkout (commit =
 the short hash of its HEAD, `-dirty` when the tree has uncommitted changes):
-the machine record, every run's metrics, each end-to-end metric's median and
-interquartile range per side, how many pairs each side won, and two verdicts:
+the machine record, every run's metrics, each side's median count of units
+attempted per run (the harness keeps every unit's result until the run ends,
+so a side that fits more units in its seconds reads a higher peak memory),
+each end-to-end metric's median and interquartile range per side, how many
+pairs each side won, and two verdicts:
 `gain` (won at least 9 in 10 pairs, median better by more than the parent's
 IQR) and `past_bound` (median worse by more than BENCHMARK.json's bound).  A
 workload with no pair of two complete runs gets a null summary; a workload that
@@ -74,6 +77,12 @@ def summarize(pairs: list[dict[str, dict[str, float]]], better: dict[str, str],
         entry["past_bound"] = None if bound is None else worse > bound * abs(base)
         out[metric] = entry
     return out
+
+
+def median_attempted(runs: list[dict], side: str) -> float | None:
+    """Median of the units attempted over one side's complete runs, None without any."""
+    counts = [r["attempted"] for r in runs if r["side"] == side and "attempted" in r]
+    return statistics.median(counts) if counts else None
 
 
 def run_side(root: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict | None, dict]:
@@ -158,11 +167,15 @@ def main(argv=None) -> int:
                 "runs": runs,
                 "summary": summarize(pairs, better, bounds) if pairs else None,
                 "failed": {side: sum(r.get("failed", 1) for r in runs if r["side"] == side) for side in SIDES},
+                "attempted": {side: median_attempted(runs, side) for side in SIDES},
                 "traced": traced,
             }
     out_path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out_path}")
     for workload, entry in doc["workloads"].items():
+        attempted = entry["attempted"]
+        print(f"{workload:13s} {'attempted':12s} parent {attempted['parent']}  change {attempted['change']}"
+              "  (median units per run)")
         if entry["summary"] is None:
             print(f"{workload:13s} no pair of two complete runs")
         for metric, s in (entry["summary"] or {}).items():

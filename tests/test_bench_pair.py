@@ -107,3 +107,26 @@ def test_workload_without_a_complete_pair_keeps_the_others(bench_pair, monkeypat
     long_eval = doc["workloads"]["long_eval"]
     assert long_eval["summary"] is None
     assert len(long_eval["runs"]) == 4 and long_eval["failed"] == {"parent": 2, "change": 0}
+
+
+def test_median_units_attempted_recorded_and_printed(bench_pair, monkeypatch, tmp_path, capsys):
+    spec = json.loads((bench_pair.ROOT / "BENCHMARK.json").read_text())
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(bench_pair, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pair, "_git", lambda *args: "abc1234" if args[0] == "rev-parse" else "")
+    monkeypatch.setattr(bench_pair, "extract", lambda rev, into: None)
+    metrics = {m["name"]: 1.0 for m in spec["end_to_end"]}
+
+    def run_side(root, workload, seed, seconds, trace):
+        if root != tmp_path and seed == 2:  # a parent run that printed no result
+            return None, {"returncode": 1, "stderr": "boom"}
+        attempted = (10 if root == tmp_path else 4) + seed
+        return {"cpu": "x"}, {"correct": True, "attempted": attempted, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pair, "run_side", run_side)
+    assert bench_pair.main(["--parent", "HEAD", "--pairs", "long_eval=3"]) == 0
+    doc = json.loads((tmp_path / "BENCH_abc1234.json").read_text())
+    # seeds 0..2: the change attempts 10, 11, 12 units; the parent 4 and 5, its third run failed
+    assert doc["workloads"]["long_eval"]["attempted"] == {"parent": 4.5, "change": 11}
+    assert "long_eval     attempted    parent 4.5  change 11  (median units per run)" in capsys.readouterr().out
+    assert bench_pair.median_attempted([{"side": "parent", "returncode": 1}], "parent") is None

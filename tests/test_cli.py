@@ -615,6 +615,14 @@ def test_eval_reads_both_frame_forms(trained, workdir, capsys):
     assert outs[0][0] == 0 and outs[0] == outs[1]
 
 
+def test_eval_unseen_phone_not_a_unit_exits_2(trained, workdir, capsys):
+    # no error can be charged to a phone the model cannot emit or read
+    code = main(["eval", "--checkpoint", str(trained), "--corpus", str(workdir / "L1.jsonl"), "--unseen", "d", "zzz"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: unseen phones ['zzz'] are not units of the model\n"
+
+
 def test_extend_mode_head_mismatch_exits_2(trained, workdir, capsys):
     # random rows only apply to a flat head; the trained model has a linear one
     code = main([

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from phonoam.corpus import Utterance
 from phonoam.ctc import greedy_decode
 from phonoam.encoder import EncoderConfig
 from phonoam.errors import InventoryMismatch, IoFailure
-from phonoam.evaluate import EvalResult, align, evaluate, export_embeddings
+from phonoam import evaluate as evaluate_mod
+from phonoam.evaluate import DEL, INS, MATCH, SUB, EvalResult, align, evaluate, export_embeddings
 from phonoam.features import SPECIAL_SYMBOLS, SpecialToken, VECTOR_BITS
 from phonoam.model import AcousticModel, build_model, embeddings, model_forward
 
@@ -45,9 +47,32 @@ def reference_align(ref, hyp):
     return ops
 
 
+OP_NAMES = {SUB: "sub", MATCH: "match", DEL: "del", INS: "ins"}
+
+
+def aligned(refs, hyps) -> list[list[tuple]]:
+    """One `align` call's ops as (op, ref_pos, hyp_pos) tuples, one list per
+    lane, in `reference_align`'s form.  Checks on the way that each op's
+    reference position is the count of reference phones before it, so an
+    insertion's is the next phone."""
+    result = align(refs, hyps)
+    lanes = []
+    for b in range(len(refs)):
+        ops, i, j = [], 0, 0
+        for code, pos in zip(result.ops[result.lane == b].tolist(), result.ref_pos[result.lane == b].tolist()):
+            op = OP_NAMES[code]
+            assert pos == i, (b, ops, op, pos)
+            ops.append((op, None if op == "ins" else i, None if op == "del" else j))
+            i += op != "ins"
+            j += op != "del"
+        lanes.append(ops)
+    assert len(result.ops) == sum(map(len, lanes))
+    return lanes
+
+
 def edit_distance(ref, hyp) -> tuple[int, int, int]:
     """(substitutions, insertions, deletions) of align's op list."""
-    ops = [op for op, _, _ in align(ref, hyp)]
+    ops = [op for op, _, _ in aligned([ref], [hyp])[0]]
     return ops.count("sub"), ops.count("ins"), ops.count("del")
 
 
@@ -92,7 +117,7 @@ class TestEditDistance:
             s, i, d = edit_distance(a, b)
             assert s + i + d == naive(a, b)
             # length bookkeeping of the alignment
-            ops = align(a, b)
+            (ops,) = aligned([a], [b])
             assert sum(1 for op, *_ in ops if op != "ins") == len(a)
             assert sum(1 for op, *_ in ops if op != "del") == len(b)
 
@@ -105,39 +130,85 @@ def _random_pair(rng, alphabet, max_len, as_str):
     return ([f"p{x}" for x in a], [f"p{x}" for x in b]) if as_str else (a, b)
 
 
+def assert_matches_reference(pairs):
+    """Every lane of `align` equals `reference_align` op for op, each pair as
+    a batch of one and all of them in one batch."""
+    expected = [reference_align(ref, hyp) for ref, hyp in pairs]
+    for (ref, hyp), want in zip(pairs, expected):
+        assert aligned([ref], [hyp]) == [want]
+    refs, hyps = zip(*pairs) if pairs else ((), ())
+    assert aligned(refs, hyps) == expected
+
+
 class TestAlignMatchesReference:
-    """The row-update table gives the reference's whole op list, ties included."""
+    """The batched table gives the reference's whole op list, ties included."""
 
     @pytest.mark.parametrize("as_str", [False, True], ids=["int", "str"])
     @pytest.mark.parametrize("alphabet", [1, 2, 3])
     def test_small_alphabets_force_ties(self, alphabet, as_str):
         rng = np.random.default_rng(100 * alphabet + as_str)
-        for _ in range(150):
-            ref, hyp = _random_pair(rng, alphabet, 12, as_str)
-            assert align(ref, hyp) == reference_align(ref, hyp)
+        assert_matches_reference([_random_pair(rng, alphabet, 12, as_str) for _ in range(150)])
 
     @pytest.mark.parametrize("as_str", [False, True], ids=["int", "str"])
     def test_lengths_up_to_45(self, as_str):
         rng = np.random.default_rng(7 + as_str)
-        for alphabet in (2, 3, 8, 40):
-            for _ in range(6):
-                ref, hyp = _random_pair(rng, alphabet, 45, as_str)
-                assert align(ref, hyp) == reference_align(ref, hyp)
+        pairs = [_random_pair(rng, alphabet, 45, as_str) for alphabet in (2, 3, 8, 40) for _ in range(6)]
         full = [f"p{x}" for x in range(45)] if as_str else list(range(45))
-        assert align(full, full[::-1]) == reference_align(full, full[::-1])
+        assert_matches_reference([*pairs, (full, full[::-1])])
 
     @pytest.mark.parametrize("as_str", [False, True], ids=["int", "str"])
     def test_either_side_empty(self, as_str):
         rng = np.random.default_rng(3 + as_str)
+        pairs = []
         for _ in range(20):
             ref, _ = _random_pair(rng, 3, 10, as_str)
-            assert align(ref, []) == reference_align(ref, [])
-            assert align([], ref) == reference_align([], ref)
-        assert align([], []) == reference_align([], []) == []
+            pairs += [(ref, []), ([], ref)]
+        assert_matches_reference([*pairs, ([], [])])
+        assert reference_align([], []) == []
 
     def test_mixed_symbol_types_compare_by_equality(self):
-        ref, hyp = ("a", 1, "b", (2, 3)), [1, "b", "a", (2, 3), "c"]
-        assert align(ref, hyp) == reference_align(ref, hyp)
+        assert_matches_reference([(("a", 1, "b", (2, 3)), [1, "b", "a", (2, 3), "c"])])
+
+    def test_batches_with_no_ops(self):
+        assert aligned([[], [], []], [[], [], []]) == [[], [], []]
+        result = align([], [])
+        assert len(result.ops) == len(result.ref_pos) == len(result.lane) == 0
+
+    def test_a_lane_is_the_same_alone_permuted_and_beside_a_long_one(self):
+        rng = np.random.default_rng(19)
+        pairs = [_random_pair(rng, 3, 9, as_str=True) for _ in range(40)]
+        alone = [aligned([ref], [hyp])[0] for ref, hyp in pairs]
+        refs, hyps = zip(*pairs)
+        assert aligned(refs, hyps) == alone
+        perm = rng.permutation(len(pairs))
+        assert aligned([refs[k] for k in perm], [hyps[k] for k in perm]) == [alone[k] for k in perm]
+        long_ref, long_hyp = (["p0", "p1", "p2"] * 70, ["p1", "p2"] * 90)
+        assert aligned([*refs, long_ref], [*hyps, long_hyp]) == [*alone, reference_align(long_ref, long_hyp)]
+
+    def test_every_lane_its_own_group(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        pairs = [_random_pair(rng, 2, 12, as_str=False) for _ in range(30)]
+        monkeypatch.setattr(evaluate_mod, "CELL_BUDGET", 1)
+        assert_matches_reference(pairs)
+
+    def test_counts_of_refs_and_hyps_must_agree(self):
+        with pytest.raises(ValueError):
+            align([[1]], [[1], [2]])
+
+    def test_one_long_lane_does_not_pad_the_others(self):
+        # 500 short pairs beside one of 300 phones: padded to the long lane's
+        # size, one table would take 501 * 301 * 301 bytes, about 45 MB
+        rng = np.random.default_rng(29)
+        refs = [rng.integers(0, 8, 300).tolist()] + [rng.integers(0, 8, rng.integers(3, 7)).tolist() for _ in range(500)]
+        hyps = [rng.integers(0, 8, 300).tolist()] + [rng.integers(0, 8, rng.integers(3, 7)).tolist() for _ in range(500)]
+        long_table = 301 * 301  # bytes of the long lane's own code table
+        tracemalloc.start()
+        try:
+            align(refs, hyps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * long_table
 
 
 def _manual_model(phones, emit):
@@ -237,6 +308,12 @@ class TestEvaluate:
         with pytest.raises(InventoryMismatch):
             evaluate(model, [utt])
 
+    def test_unseen_phone_that_is_no_unit_rejected(self):
+        model = _manual_model(["a"], emit=True)
+        utt = Utterance(frames=np.zeros((2, model.n_units)), phones=("a",), language_id="L")
+        with pytest.raises(InventoryMismatch, match=r"\['q', 'z'\]"):
+            evaluate(model, [utt], unseen={"a", "z", "q"})
+
 
 def reference_evaluate(model, utterances, unseen):
     """Insertions held pending until the next reference phone, then flushed onto
@@ -248,7 +325,7 @@ def reference_evaluate(model, utterances, unseen):
         Z, _ = model_forward(model, utt.frames)
         hyp_phones = [inv[i] for i in greedy_decode(Z)]
 
-        ops = align(utt.phones, hyp_phones)
+        ops = reference_align(utt.phones, hyp_phones)
         result.ref_len += len(utt.phones)
         for p in utt.phones:
             if p in unseen:
