@@ -10,9 +10,11 @@ side for BENCHMARK.json's `run_seconds`, alternating which side goes first,
 then one `--trace 1` run of TRACE_SECONDS per side for the exact per-layer
 counts.  It writes BENCH_<commit>.json at the root of this checkout (commit =
 the short hash of its HEAD, `-dirty` when the tree has uncommitted changes):
-the machine record, every run's metrics, each side's median count of units
-attempted per run (the harness keeps every unit's result until the run ends,
-so a side that fits more units in its seconds reads a higher peak memory),
+the machine record, every run's metrics, each side's median `attempted` per
+run (the utterances its units offered to training or evaluation, plus its
+checks: it grows with the units a run fits in its seconds, and the harness
+keeps every unit's result until the run ends, so a side that runs more units
+reads a higher peak memory),
 each end-to-end metric's median and interquartile range per side, how many
 pairs each side won, and two verdicts:
 `gain` (won at least 9 in 10 pairs, median better by more than the parent's
@@ -80,7 +82,7 @@ def summarize(pairs: list[dict[str, dict[str, float]]], better: dict[str, str],
 
 
 def median_attempted(runs: list[dict], side: str) -> float | None:
-    """Median of the units attempted over one side's complete runs, None without any."""
+    """Median `attempted` over one side's complete runs, None without any."""
     counts = [r["attempted"] for r in runs if r["side"] == side and "attempted" in r]
     return statistics.median(counts) if counts else None
 
@@ -175,7 +177,7 @@ def main(argv=None) -> int:
     for workload, entry in doc["workloads"].items():
         attempted = entry["attempted"]
         print(f"{workload:13s} {'attempted':12s} parent {attempted['parent']}  change {attempted['change']}"
-              "  (median units per run)")
+              "  (median per run, in proportion to the units run)")
         if entry["summary"] is None:
             print(f"{workload:13s} no pair of two complete runs")
         for metric, s in (entry["summary"] or {}).items():

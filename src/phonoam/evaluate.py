@@ -238,13 +238,13 @@ def evaluate(
     """
     index = model.unit_index()
     check_covered(index, utterances)
-    strangers = sorted(set(unseen) - index.keys())
-    if strangers:
-        raise InventoryMismatch(f"unseen phones {strangers} are not units of the model")
+    unknown = sorted(set(unseen) - index.keys())
+    if unknown:
+        raise InventoryMismatch(f"unseen phones {unknown} are not units of the model")
     emb = embeddings(model)
     hyps = []
     for utt in utterances:
-        Z, _ = model_forward(model, utt.frames, emb)
+        Z = model_forward(model, utt.frames, emb)[0]
         hyps.append([model.units[k] for k in greedy_decode(Z)])
     return charge([utt.phones for utt in utterances], hyps, unseen)
 

@@ -168,7 +168,8 @@ def _dev_pass(model, dev, batch_size: int, graph) -> tuple[float, float]:
     for start in range(0, len(dev), batch_size):
         chunk = dev[start : start + batch_size]
         lengths = [len(utt.frames) for utt, _ in chunk]
-        Z, _ = model_forward(model, np.concatenate([utt.frames for utt, _ in chunk]), emb, lengths)
+        # the forward cache is dropped at once: the loss below needs no backward pass
+        Z = model_forward(model, np.concatenate([utt.frames for utt, _ in chunk]), emb, lengths)[0]
         ends = np.cumsum(lengths).tolist()
         hyps.extend([model.units[k] for k in greedy_decode(Z[end - T : end])] for end, T in zip(ends, lengths))
         feasible = [labels is not None for _, labels in chunk]

@@ -126,7 +126,8 @@ def test_median_units_attempted_recorded_and_printed(bench_pair, monkeypatch, tm
     monkeypatch.setattr(bench_pair, "run_side", run_side)
     assert bench_pair.main(["--parent", "HEAD", "--pairs", "long_eval=3"]) == 0
     doc = json.loads((tmp_path / "BENCH_abc1234.json").read_text())
-    # seeds 0..2: the change attempts 10, 11, 12 units; the parent 4 and 5, its third run failed
+    # seeds 0..2: the change's runs attempt 10, 11 and 12; the parent's 4 and 5, its third run failed
     assert doc["workloads"]["long_eval"]["attempted"] == {"parent": 4.5, "change": 11}
-    assert "long_eval     attempted    parent 4.5  change 11  (median units per run)" in capsys.readouterr().out
+    assert "long_eval     attempted    parent 4.5  change 11  (median per run, in proportion to the units run)" \
+        in capsys.readouterr().out
     assert bench_pair.median_attempted([{"side": "parent", "returncode": 1}], "parent") is None
