@@ -14,9 +14,8 @@ the machine record, every run's metrics, each side's median `attempted` per
 run (the utterances its units offered to training or evaluation, plus its
 checks: it grows with the units a run fits in its seconds, and the harness
 keeps every unit's result until the run ends, so a side that runs more units
-reads a higher peak memory),
-each end-to-end metric's median and interquartile range per side, how many
-pairs each side won, and two verdicts:
+reads a higher peak memory), each end-to-end metric's median and
+interquartile range per side, how many pairs each side won, and two verdicts:
 `gain` (won at least 9 in 10 pairs, median better by more than the parent's
 IQR) and `past_bound` (median worse by more than BENCHMARK.json's bound).  A
 workload with no pair of two complete runs gets a null summary; a workload that
