@@ -89,18 +89,23 @@ def median_attempted(runs: list[dict], side: str) -> float | None:
 def run_side(root: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict | None, dict]:
     """One perfbench run of the checkout at root: (its machine record, its
     outcome), the outcome being the result line's fields with each metric's
-    value, or the exit code and the end of stderr of a run that printed none."""
+    value, or, for a run that failed or whose last line is no result line,
+    the exit code, the end of stderr and that last line, if any."""
     cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     machine = next((json.loads(line[len("machine "):]) for line in lines if line.startswith("machine ")), None)
+    failure = {"returncode": proc.returncode, "stderr": proc.stderr[-2000:]}
     if proc.returncode or not lines:
-        return machine, {"returncode": proc.returncode, "stderr": proc.stderr[-2000:]}
-    result = json.loads(lines[-1])
-    metrics = {name: m["value"] for name, m in result["metrics"].items()}
-    return machine, {"correct": result["correct"], "attempted": result["attempted"],
-                     "failed": result["failed"], "metrics": metrics}
+        return machine, failure
+    try:
+        result = json.loads(lines[-1])
+        metrics = {name: m["value"] for name, m in result["metrics"].items()}
+        return machine, {"correct": result["correct"], "attempted": result["attempted"],
+                         "failed": result["failed"], "metrics": metrics}
+    except (ValueError, TypeError, KeyError, AttributeError):
+        return machine, {**failure, "last_line": lines[-1][-2000:]}
 
 
 def _git(*args: str) -> str:

@@ -70,9 +70,8 @@ def main() -> int:
     print(f"\ntrained {len(report.train_loss)} epochs, "
           f"dev loss {report.dev_loss[0]:.3f} -> {report.dev_loss[-1]:.3f}")
 
-    mode = "phonology" if args.head != "flat" else "random"
     new_P = encode_inventory(table, unseen, specials=[])
-    extended = extend_model(model, tuple(unseen), new_P, mode=mode, seed=args.seed)
+    extended = extend_model(model, tuple(unseen), new_P, seed=args.seed)
     res = evaluate(extended, test, unseen=set(unseen))
     print(f"zero-shot: PER {res.per:.3f} (seen {res.seen_per:.3f}, "
           f"unseen {res.unseen_per:.3f})")

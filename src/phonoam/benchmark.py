@@ -202,8 +202,7 @@ def run_benchmark(
                 res = evaluate(model, world.train_corpora[inv.language_id])
                 records.append(_record(head, inv.language_id, "multilingual", seed, res))
 
-        mode = "phonology" if head != "flat" else "random"
-        extended = extend_model(model, tuple(unseen), new_P, mode=mode, seed=seed)
+        extended = extend_model(model, tuple(unseen), new_P, seed=seed)
 
         if "zero_shot" in conditions or "few_shot" in conditions:
             res = evaluate(extended, world.heldout_test, unseen=set(unseen))

@@ -153,9 +153,7 @@ def cmd_extend(args) -> int:
     seen = set(model.units)
     new = tuple(p for p in target.phones if p not in seen)
     new_P = encode_inventory(table, list(new), specials=[])
-    mode = args.mode
-    if mode == "auto":
-        mode = "random" if model.head == "flat" else "phonology"
+    mode = None if args.mode == "auto" else args.mode
     extended = extend_model(model, new, new_P, mode=mode, seed=args.seed)
     save_checkpoint(extended, args.out, epoch=meta.get("epoch", 0))
     _write_manifest(args.out, "extend", args)

@@ -28,9 +28,11 @@ NaN of -inf - -inf.  The per-state edge lists the graph also keeps are read
 only by the benchmark harness, which counts the graph's edges from them.
 
 The graph is the loss: it keeps the PhoneLM it composes, which scores the
-references, and `crf_batch_loss` scores a batch of utterances under it in
-one call of each kernel: CTC's batched lattice kernel, `ctc_label_counts`,
-for the numerator and `denominator_forward_backward` for the denominator;
+references.  `batch_loss` is the package's one batch loss, CTC without a
+graph and CTC-CRF under one: it scores a batch of utterances with one
+`log_posteriors` call and one call of CTC's batched lattice kernel,
+`ctc_label_counts`, which gives the CTC loss or the CTC-CRF numerator, plus,
+under a graph, one `denominator_forward_backward` call for the denominator;
 `crf_loss` is its batch of one.  The numerator keeps CTC's exact logaddexp
 lattice: the shift flushes states over ~745 nats below the frame's best to
 zero, and in a label lattice such a state may be the only one still able to
@@ -187,22 +189,24 @@ def crf_loss(
     check_labels(labels, *Z.shape)
     if graph is None:
         graph = build_denominator_graph(Z.shape[1], lm)
-    nll, dZ = crf_batch_loss(Z, [len(Z)], [labels], graph)
+    nll, dZ = batch_loss(Z, [len(Z)], [labels], graph)
     return CtcResult(nll=float(nll[0]), dZ=dZ)
 
 
-def crf_batch_loss(Z: np.ndarray, lengths, labels, graph: DenominatorGraph, backward: bool = True):
-    """(nll per utterance, dL/dZ or None) for utterances whose logits are
-    stacked in Z, lengths[b] rows each; the labels are taken as feasible.
+def batch_loss(Z: np.ndarray, lengths, labels, graph: DenominatorGraph | None = None, backward: bool = True):
+    """(nll per utterance, dL/dZ stacked as the logits Z are, or None without
+    `backward`): CTC without a graph, CTC-CRF under it.  Z stacks the logits
+    of utterances of these lengths, whose labels are taken as feasible.
 
-    The numerator is one `ctc_label_counts` call and the references' scores
-    under `graph.lm`, the denominator one `denominator_forward_backward` call
-    over the same stacked log-posteriors.
+    One `ctc_label_counts` call gives the CTC loss, or under a graph the
+    numerator, to which the references' scores under `graph.lm` and one
+    `denominator_forward_backward` call over the same log-posteriors add.
     """
     logy = log_posteriors(Z)
-    num_loglik, num_counts = ctc_label_counts(logy, lengths, labels, backward)
+    loglik, counts = ctc_label_counts(logy, lengths, labels, backward)
+    if graph is None:
+        return -loglik, (np.exp(logy) - counts if backward else None)
     lm_score = np.array([graph.lm.score(lab) for lab in labels]) if graph.lm is not None else 0.0
-
     logden, den_counts = denominator_forward_backward(graph, logy, lengths, backward)
-    nll = -(lm_score + num_loglik) + logden
-    return nll, (den_counts - num_counts if backward else None)
+    nll = -(lm_score + loglik) + logden
+    return nll, (den_counts - counts if backward else None)

@@ -8,8 +8,10 @@ recursion over the reversed lattice) are two rows, or lanes, of one loop over
 frames, three ufunc calls per frame for every lane at once, padded by the
 rule of `lane_rows` that the CTC-CRF denominator shares.  Every lane's
 arithmetic is elementwise, so an utterance gets the same bits whatever batch
-it is scored in.  The gradient returned is with respect to the raw logits,
-i.e. the softmax Jacobian is already folded in (each row of dZ sums to zero).
+it is scored in.  The one batch loss built on it, CTC's and CTC-CRF's alike,
+is `crf.batch_loss`; `ctc_loss` is its CTC batch of one.  The gradient
+returned is with respect to the raw logits, i.e. the softmax Jacobian is
+already folded in (each row of dZ sums to zero).
 """
 
 from __future__ import annotations
@@ -58,20 +60,13 @@ def ctc_loss(Z: np.ndarray, labels) -> CtcResult:
     """Negative log-likelihood of the label sequence and exact dL/dZ.
 
     Z is the T x N logit matrix; labels is a blank-free sequence of unit
-    indices.
+    indices.  The batch of one of `crf.batch_loss` without a graph.
     """
     labels = list(labels)
     check_labels(labels, *Z.shape)
-    nll, dZ = ctc_batch_loss(Z, [len(Z)], [labels])
-    return CtcResult(nll=nll[0], dZ=dZ)
-
-
-def ctc_batch_loss(Z: np.ndarray, lengths, labels, backward: bool = True):
-    """(nll per utterance, dL/dZ or None) for utterances whose logits are
-    stacked in Z, lengths[b] rows each; the labels are taken as feasible."""
     logy = log_posteriors(Z)
-    loglik, counts = ctc_label_counts(logy, lengths, labels, backward)
-    return -loglik, (np.exp(logy) - counts if backward else None)
+    (loglik,), counts = ctc_label_counts(logy, [len(Z)], [labels])
+    return CtcResult(nll=-loglik, dZ=np.exp(logy) - counts)
 
 
 def lane_rows(lengths, backward: bool = True) -> np.ndarray:

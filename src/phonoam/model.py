@@ -15,12 +15,11 @@ with `embeddings(model)` and passes that (E, head cache) pair to
 
 `batch_loss_and_grads` is the training step, one stacked pass per batch: one
 encoder forward over the batch's stacked frames (each utterance spliced
-within its own frames), one logits product, one `batch_loss` call (one
-`log_posteriors` and one call of the CTC lattice kernel, plus one of the
-CTC-CRF denominator kernel when given a denominator graph), one encoder
-backward and one head backward, so the gradients are summed over the batch
-inside the matmuls.  `model_loss_and_grads` is the batch of one, and the one
-function that reads a loss name.
+within its own frames), one logits product, one call of the package's one
+batch loss, `crf.batch_loss` (CTC without a denominator graph, CTC-CRF
+under one), one encoder backward and one head backward, so the gradients are
+summed over the batch inside the matmuls.  `model_loss_and_grads` is the
+batch of one, and the one function that reads a loss name.
 """
 
 from __future__ import annotations
@@ -30,9 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ctc as ctc_mod
-from . import crf as crf_mod
-from .crf import DenominatorGraph
+from .crf import DenominatorGraph, batch_loss, build_denominator_graph
 from .ctc import check_labels
 from .encoder import EncoderConfig, encoder_backward, encoder_forward, encoder_shapes
 from .errors import DimensionMismatch, DuplicatePhone, ModeHeadMismatch
@@ -118,12 +115,13 @@ def extend_model(
     model: AcousticModel,
     new_units: tuple[str, ...],
     new_P: np.ndarray,
-    mode: str = "phonology",
+    mode: str | None = None,
     seed: int | None = None,
 ) -> AcousticModel:
     """New model covering M extra units, sharing no array with the model.
 
-    new_P holds the M x 51 phonological-vectors of M distinct units new to the model.  Modes:
+    new_P holds the M x 51 phonological-vectors of M distinct units new to the
+    model.  Modes, by default "random" for a flat head and "phonology" otherwise:
 
     phonology    -- phonology-driven heads only: the new embeddings follow from
                     new_P through the unchanged head.
@@ -138,6 +136,8 @@ def extend_model(
     if len(set(new_units)) != len(new_units) or set(new_units) & set(model.units):
         raise DuplicatePhone("new units must be distinct and not already units of the model")
     flat = model.head == "flat"
+    if mode is None:
+        mode = "random" if flat else "phonology"
     if mode not in (("random", "mean_of_seen") if flat else ("phonology",)):
         raise ModeHeadMismatch(f"extension mode {mode!r} does not apply to a {model.head} head")
     params = {k: v.copy() for k, v in model.params.items()}
@@ -174,15 +174,6 @@ def model_forward(
     E, head_cache = embeddings(model) if emb is None else emb
     Z = logits(E, H_seq)
     return Z, {"enc": enc_cache, "H_seq": H_seq, "E": E, "head": head_cache}
-
-
-def batch_loss(Z, lengths, labels, graph: DenominatorGraph | None = None, backward: bool = True):
-    """(nll per utterance, dL/dZ stacked as the logits Z are, or None without
-    `backward`), CTC without a graph and CTC-CRF under it; Z stacks the logits
-    of utterances of these lengths, whose labels are taken as feasible."""
-    if graph is None:
-        return ctc_mod.ctc_batch_loss(Z, lengths, labels, backward)
-    return crf_mod.crf_batch_loss(Z, lengths, labels, graph, backward)
 
 
 def batch_loss_and_grads(model: AcousticModel, batch, graph: DenominatorGraph | None = None):
@@ -223,6 +214,6 @@ def model_loss_and_grads(
     elif loss != "ctc_crf":
         raise ValueError(f"unknown loss {loss!r}")
     elif graph is None:
-        graph = crf_mod.build_denominator_graph(model.n_units, lm)
+        graph = build_denominator_graph(model.n_units, lm)
     nll, grads = batch_loss_and_grads(model, [(frames, labels)], graph)
     return nll[0], grads

@@ -6,7 +6,7 @@ epochs, stopping once the rate drops below LR_FLOOR (1e-5).  An epoch whose
 dev loss is NaN (every dev utterance infeasible) leaves the schedule as is.
 
 Each optimizer step is one `batch_loss_and_grads` call, which runs the whole
-batch as one stacked pass: one forward, one loss-kernel call and one
+batch as one stacked pass: one forward, one `crf.batch_loss` call and one
 backward, under the denominator graph `train` builds (None for CTC).  A
 batch whose loss or gradient norm before clipping is not finite takes no
 step: its utterances count as skipped, and neither Adam's state nor the
@@ -34,14 +34,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Utterance
-from .crf import build_denominator_graph
+from .crf import batch_loss, build_denominator_graph
 from .ctc import check_labels, greedy_decode
 from .errors import DimensionMismatch, EmptyCorpus, InfeasibleLength, InvalidTrainConfig
 from .evaluate import charge, check_covered
 from .lm import train_phone_lm
 from .model import (
     AcousticModel,
-    batch_loss,
     batch_loss_and_grads,
     embeddings,
     model_forward,

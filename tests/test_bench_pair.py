@@ -109,6 +109,21 @@ def test_workload_without_a_complete_pair_keeps_the_others(bench_pair, monkeypat
     assert len(long_eval["runs"]) == 4 and long_eval["failed"] == {"parent": 2, "change": 0}
 
 
+@pytest.mark.parametrize("last", ["spans 3 written to perfbench/out/x.jsonl.gz", "[1, 2]", '{"correct": true}'])
+def test_run_whose_last_line_is_no_result_is_recorded_as_failed(bench_pair, monkeypatch, last):
+    machine = {"cpu": "x", "workload": "crf_bigram"}
+    stdout = f"machine {json.dumps(machine)}\ncheck PASS x\n{last}\n"
+
+    def fake_run(cmd, **kwargs):
+        assert cmd[1].endswith("run.py") and "--workload" in cmd
+        return bench_pair.subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="warning: slow")
+
+    monkeypatch.setattr(bench_pair.subprocess, "run", fake_run)
+    got_machine, run = bench_pair.run_side(bench_pair.ROOT, "crf_bigram", 0, 1.0, 0)
+    assert got_machine == machine
+    assert run == {"returncode": 0, "stderr": "warning: slow", "last_line": last}
+
+
 def test_median_units_attempted_recorded_and_printed(bench_pair, monkeypatch, tmp_path, capsys):
     spec = json.loads((bench_pair.ROOT / "BENCHMARK.json").read_text())
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))

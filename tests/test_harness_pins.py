@@ -15,12 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from phonoam import crf
 from phonoam.crf import build_denominator_graph, denominator_forward_backward
 from phonoam.encoder import EncoderConfig
 from phonoam.features import VECTOR_BITS
 from phonoam.heads import log_posteriors
 from phonoam.lm import train_phone_lm
-from phonoam.model import build_model, model_loss_and_grads, model_params, set_model_params
+from phonoam.model import batch_loss_and_grads, build_model, model_loss_and_grads, model_params, set_model_params
 
 REPO_DIR = Path(__file__).resolve().parent.parent
 
@@ -63,6 +64,29 @@ def test_crf_gradients_by_the_names_the_harness_reads():
     assert np.isfinite(nll)
     for name, shape in (("enc.W0", (4, 9)), ("head.A1", (5, VECTOR_BITS)), ("head.A2", (4, 5))):
         assert grads[name].shape == shape
+
+
+@pytest.mark.parametrize("order", [None, 2], ids=["ctc", "ctc_crf_bigram"])
+def test_the_ctc_kernel_is_looked_up_where_the_harness_wraps_it(order, monkeypatch):
+    # the harness traces the CTC lattice kernel only as `phonoam.crf.ctc_label_counts`;
+    # every training step, CTC's included, must call it there
+    calls = []
+    kernel = crf.ctc_label_counts
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(crf, "ctc_label_counts", counted)
+    rng = np.random.default_rng(3)
+    model = tiny_nonlinear_model(rng)
+    batch = [(rng.normal(size=(5, 3)), [1, 2, 3]), (rng.normal(size=(4, 3)), [2, 2])]
+    graph = None
+    if order is not None:
+        lm = train_phone_lm([labels for _, labels in batch], order=order, vocab=range(1, model.n_units))
+        graph = build_denominator_graph(model.n_units, lm)
+    nll, _ = batch_loss_and_grads(model, batch, graph)
+    assert calls == [len(batch)] and np.isfinite(nll).all()
 
 
 def test_params_restore_as_the_harness_restores_them():

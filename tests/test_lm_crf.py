@@ -6,8 +6,8 @@ import pytest
 from phonoam import crf
 from phonoam.crf import (
     _logsumexp,
+    batch_loss,
     build_denominator_graph,
-    crf_batch_loss,
     crf_loss,
     denominator_forward_backward,
 )
@@ -336,15 +336,31 @@ class TestCrfLoss:
 
     @pytest.mark.parametrize("order", [None, 1, 2])
     def test_the_graph_carries_the_lm_it_composes(self, order):
-        # crf_batch_loss scores the references by graph.lm: no LM argument
+        # batch_loss scores the references by graph.lm: no LM argument
         N = 4
         Z, labels = RNG.normal(0.0, 2.0, size=(5, N)), [1, 3, 3]
         lm = None if order is None else train_phone_lm([labels, [2]], order=order, smoothing=1.0, vocab=range(1, N))
         graph = build_denominator_graph(N, lm)
         assert graph.lm is lm
-        nll, dZ = crf_batch_loss(Z, [len(Z)], [labels], graph)
+        nll, dZ = batch_loss(Z, [len(Z)], [labels], graph)
         res = crf_loss(Z, labels, lm)
         assert nll[0] == res.nll and np.array_equal(dZ, res.dZ)
+
+    @pytest.mark.parametrize("scale", [0.5, 3.0, 30.0])
+    @pytest.mark.parametrize("B", range(1, 9))
+    def test_without_a_graph_each_utterance_gets_ctc_loss_bits(self, B, scale):
+        rng = np.random.default_rng([B, int(scale * 10), 5])
+        N = int(rng.integers(3, 12))
+        labels = [[int(x) for x in rng.integers(1, N, size=int(rng.integers(1, 6)))] for _ in range(B)]
+        lengths = [len(lab) + sum(a == b for a, b in zip(lab, lab[1:])) + int(rng.integers(0, 9)) for lab in labels]
+        Z = rng.normal(0.0, scale, size=(sum(lengths), N))
+        nll, dZ = batch_loss(Z, lengths, labels)
+        ends = np.cumsum(lengths)
+        for b, (T, lab) in enumerate(zip(lengths, labels)):
+            res = ctc_loss(Z[ends[b] - T : ends[b]], lab)
+            assert nll[b] == res.nll and np.array_equal(dZ[ends[b] - T : ends[b]], res.dZ)
+        forward_only, none = batch_loss(Z, lengths, labels, backward=False)
+        assert none is None and np.array_equal(forward_only, nll)
 
     @pytest.mark.parametrize("backward", [True, False])
     def test_one_denominator_call_per_batch(self, monkeypatch, backward):
@@ -359,7 +375,7 @@ class TestCrfLoss:
         Z = RNG.normal(0.0, 2.0, size=(sum(lengths), N))
         labels = [[1, 2], [3], [4, 4, 1], [2], [1, 3, 2]]
         lm = train_phone_lm(labels, order=2, smoothing=1.0, vocab=range(1, N))
-        nll, _ = crf_batch_loss(Z, lengths, labels, build_denominator_graph(N, lm), backward=backward)
+        nll, _ = batch_loss(Z, lengths, labels, build_denominator_graph(N, lm), backward=backward)
         assert calls == [Z.shape] and nll.shape == (len(lengths),)
 
     def test_no_lm_gradient_equals_ctc(self):

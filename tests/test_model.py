@@ -5,7 +5,7 @@ import pytest
 
 from phonoam import training
 from phonoam.corpus import make_emission_map, generate_language, SynthLanguageSpec
-from phonoam.crf import build_denominator_graph, crf_batch_loss
+from phonoam.crf import batch_loss, build_denominator_graph
 from phonoam.encoder import EncoderConfig
 from phonoam.errors import DimensionMismatch, DuplicatePhone, ModeHeadMismatch
 from phonoam.features import SpecialToken, builtin_table, encode_inventory
@@ -13,7 +13,6 @@ from phonoam.heads import compute_embeddings
 from phonoam.inventory import LanguageInventory, merge_inventories
 from phonoam.lm import train_phone_lm
 from phonoam.model import (
-    batch_loss,
     batch_loss_and_grads,
     build_model,
     embeddings,
@@ -115,7 +114,7 @@ def test_only_model_loss_and_grads_reads_a_loss_name():
     with pytest.raises(ValueError, match="'ctc-crf'"):
         model_loss_and_grads(model, RNG.normal(size=(5, 3)), [3, 4], "ctc-crf")
     # below it the loss is a denominator graph, None for CTC
-    for f in (batch_loss, batch_loss_and_grads, crf_batch_loss, training._dev_pass):
+    for f in (batch_loss, batch_loss_and_grads, training._dev_pass):
         assert not {"loss", "lm"} & set(inspect.signature(f).parameters), f.__name__
 
 
@@ -223,6 +222,15 @@ class TestExtend:
         newP = encode_inventory(TABLE, list(new), specials=[])
         with pytest.raises(DuplicatePhone):
             extend_model(model, new, newP, mode="phonology")
+
+    @pytest.mark.parametrize("head, mode", [("flat", "random"), ("linear", "phonology"), ("nonlinear", "phonology")])
+    def test_default_mode_follows_the_head(self, head, mode):
+        model, _ = tiny_model(head)
+        newP = encode_inventory(TABLE, [PHONES[5], PHONES[6]], specials=[])
+        default = extend_model(model, (PHONES[5], PHONES[6]), newP, seed=3)
+        given = extend_model(model, (PHONES[5], PHONES[6]), newP, mode=mode, seed=3)
+        assert params_checksum(model_params(default)) == params_checksum(model_params(given))
+        assert default.units == given.units and np.array_equal(default.P, given.P)
 
     def test_random_is_seeded(self):
         model, _ = tiny_model("flat")
